@@ -14,9 +14,6 @@ from .assembly import (
     assemble_load,
     assemble_lumped_mass,
     assemble_np,
-    assemble_np_eafe,
-    assemble_np_fem,
-    assemble_np_supg,
     assemble_stiffness,
     apply_dirichlet_rows,
     bernoulli,
@@ -31,6 +28,7 @@ from .gummel import (
     contraction_stats,
     gummel_solve,
     gummel_step,
+    solve_potential,
 )
 from .linalg import (
     MMatrixReport,

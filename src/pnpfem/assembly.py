@@ -6,9 +6,10 @@ element computations followed by a deterministic scatter-add.  Entries whose
 integrands are polynomial are integrated in closed form; source terms use a
 configurable quadrature rule.
 
-The three concentration operators share the contract
+The three concentration operators share one entry point, ``assemble_np``,
+and the contract
 
-    matrix = mass + tau * transport(phi)
+    matrix = lumped mass + tau * transport(phi)
 
 where ``transport`` is the plain Galerkin convection-diffusion operator, its
 streamline-stabilized variant, or the exponentially fitted (edge-averaged)
@@ -33,15 +34,11 @@ __all__ = [
     "apply_dirichlet_rows",
     "lumped_volumes",
     "assemble_lumped_mass",
-    "assemble_consistent_mass",
     "assemble_convection",
     "assemble_load",
     "element_integrals",
     "bernoulli",
     "edge_harmonic_average",
-    "assemble_np_fem",
-    "assemble_np_supg",
-    "assemble_np_eafe",
     "assemble_np",
     "stab_source_vector",
 ]
@@ -66,7 +63,6 @@ class SchemeConfig:
     quadrature_order: int = 2
     linear_tol: float = 1e-10
     linear_maxit: int = 5000
-    consistent_mass: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -93,7 +89,6 @@ class _Workspace:
         "bdry_entry_mask",
         "stiffness_data",
         "lumped",
-        "consistent_mass_data",
     )
 
     def __init__(self, mesh: BoxMesh):
@@ -123,7 +118,6 @@ class _Workspace:
             weights=np.repeat(geo.volumes, 4),
             minlength=n,
         )
-        self.consistent_mass_data = None
 
     def _scatter(self, local_vals) -> np.ndarray:
         return np.bincount(
@@ -183,17 +177,6 @@ def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
 def assemble_lumped_mass(mesh: BoxMesh) -> SparseMatrix:
     """Diagonal mass matrix with entries (support volume)/4."""
     return SparseMatrix.diagonal_matrix(_workspace(mesh).lumped / 4.0)
-
-
-def assemble_consistent_mass(mesh: BoxMesh) -> SparseMatrix:
-    """Full P1 mass matrix (vol/10 diagonal, vol/20 off-diagonal per tet)."""
-    ws = _workspace(mesh)
-    if ws.consistent_mass_data is None:
-        vol = mesh.geometry.volumes
-        local = np.tile((np.ones((4, 4)) + np.eye(4)) / 20.0, (mesh.n_tets, 1, 1))
-        local *= vol[:, None, None]
-        ws.consistent_mass_data = ws._scatter(local)
-    return ws.matrix(ws.consistent_mass_data.copy())
 
 
 def assemble_convection(mesh: BoxMesh, phi: np.ndarray) -> SparseMatrix:
@@ -273,17 +256,14 @@ class AssembledNP:
     """One species' concentration system for a single implicit step.
 
     ``matrix`` is mass + tau * transport (constrained rows already replaced
-    by identity rows when requested); ``rhs`` starts at zero and is filled by
-    the time stepper.  The stabilized scheme additionally exposes the
-    operators needed for its right-hand-side terms: ``stab_matrix`` applies
-    to the previous concentration vector and ``stab_grad_weights`` (one
-    weight per element corner) turns per-element source integrals into the
-    stabilization load.
+    by identity rows when requested).  The stabilized scheme additionally
+    exposes the operators needed for its right-hand-side terms:
+    ``stab_matrix`` applies to the previous concentration vector and
+    ``stab_grad_weights`` (one weight per element corner) turns per-element
+    source integrals into the stabilization load.
     """
 
     matrix: SparseMatrix
-    rhs: np.ndarray
-    species: int
     stab_matrix: SparseMatrix | None = None
     stab_grad_weights: np.ndarray | None = None
 
@@ -297,47 +277,8 @@ def _check_dof(mesh: BoxMesh, v, name: str) -> np.ndarray:
     return v
 
 
-def _mass_data(mesh: BoxMesh, ws: _Workspace, consistent: bool) -> np.ndarray:
-    if consistent:
-        return assemble_consistent_mass(mesh).data
-    data = np.zeros(ws.pattern.nnz)
-    data[ws.diag_slots] = ws.lumped / 4.0
-    return data
-
-
-def _finalize(mesh, ws, data, species, apply_dirichlet, stab=None, stab_w=None):
-    if apply_dirichlet:
-        data = np.where(ws.bdry_entry_mask, 0.0, data)
-        data[ws.diag_slots[mesh.boundary]] = 1.0
-    return AssembledNP(
-        matrix=ws.matrix(data),
-        rhs=np.zeros(mesh.n_nodes),
-        species=species,
-        stab_matrix=stab,
-        stab_grad_weights=stab_w,
-    )
-
-
-def assemble_np_fem(
-    mesh: BoxMesh,
-    phi: np.ndarray,
-    c_i: float,
-    tau: float,
-    species: int = 0,
-    apply_dirichlet: bool = True,
-    consistent_mass: bool = False,
-) -> AssembledNP:
-    """Plain Galerkin concentration operator: mass + tau*(A_L + c_i C(phi))."""
-    phi = _check_dof(mesh, phi, "phi")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    ws = _workspace(mesh)
-    data = _mass_data(mesh, ws, consistent_mass)
-    data += tau * (ws.stiffness_data + c_i * assemble_convection(mesh, phi).data)
-    return _finalize(mesh, ws, data, species, apply_dirichlet)
-
-
 def _supg_element_terms(mesh: BoxMesh, phi: np.ndarray, c_i: float, supg_scale: float):
+    """Streamline matrices, time-difference row values and w_K.grad(psi_i)."""
     geo = mesh.geometry
     gl = geo.grad_lambda
     gphi = np.einsum("mk,mkd->md", phi[mesh.tets], gl)          # (M, 3)
@@ -353,51 +294,9 @@ def _supg_element_terms(mesh: BoxMesh, phi: np.ndarray, c_i: float, supg_scale: 
     w_k = -c_i * c_k[:, None] * gphi                            # (M, 3)
     d = np.einsum("md,mid->mi", gphi, gl)                       # grad(phi).grad(psi_i)
     wgrad = np.einsum("md,mid->mi", w_k, gl)                    # w_K.grad(psi_i)
-    return d, wgrad
-
-
-def assemble_np_supg(
-    mesh: BoxMesh,
-    phi: np.ndarray,
-    c_i: float,
-    tau: float,
-    supg_scale: float = 1.0,
-    species: int = 0,
-    apply_dirichlet: bool = True,
-    consistent_mass: bool = False,
-) -> AssembledNP:
-    """Streamline-stabilized concentration operator.
-
-    Adds the residual-based element terms to the Galerkin matrix; the part
-    containing the new concentration (including its time-difference
-    contribution) lands in the matrix, while the operators for the source
-    and previous-level parts are returned for the stepper.
-    """
-    phi = _check_dof(mesh, phi, "phi")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not supg_scale > 0:
-        raise ValueError("supg_scale must be positive")
-    ws = _workspace(mesh)
-    geo = mesh.geometry
-    d, wgrad = _supg_element_terms(mesh, phi, c_i, supg_scale)
-
-    data = _mass_data(mesh, ws, consistent_mass)
-    data += tau * (ws.stiffness_data + c_i * assemble_convection(mesh, phi).data)
     stream = np.einsum("m,mi,mj->mij", -c_i * geo.volumes, wgrad, d)
-    data += tau * ws._scatter(stream)
     svals = 0.25 * geo.volumes[:, None] * wgrad                 # (M, 4) row values
-    s_data = ws._scatter(np.broadcast_to(svals[:, :, None], (mesh.n_tets, 4, 4)))
-    data += s_data
-    return _finalize(
-        mesh,
-        ws,
-        data,
-        species,
-        apply_dirichlet,
-        stab=ws.matrix(s_data),
-        stab_w=wgrad,
-    )
+    return stream, svals, wgrad
 
 
 def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarray) -> np.ndarray:
@@ -408,41 +307,27 @@ def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarr
     return np.bincount(mesh.tets.ravel(), weights=w.ravel(), minlength=mesh.n_nodes)
 
 
-def assemble_np_eafe(
-    mesh: BoxMesh,
-    phi: np.ndarray,
-    c_i: float,
-    tau: float,
-    species: int = 0,
-    apply_dirichlet: bool = True,
-    consistent_mass: bool = False,
-) -> AssembledNP:
-    """Edge-averaged (exponentially fitted) concentration operator.
+def _eafe_local(mesh: BoxMesh, phi: np.ndarray, c_i: float) -> np.ndarray:
+    """Element matrices of the edge-averaged transport operator.
 
-    Off-diagonal element entries are -omega * B(c_i(phi_nu - phi_mu)) on the
-    edge (nu, mu); diagonals are the negated column sums, so the transport
-    part has exactly zero column sums before boundary treatment and reduces
+    Off-diagonal entries are -omega * B(c_i(phi_nu - phi_mu)) on the edge
+    (nu, mu); diagonals are the negated column sums, so the transport part
+    has exactly zero column sums before boundary treatment and reduces
     entrywise to the stiffness matrix at zero potential.
     """
-    phi = _check_dof(mesh, phi, "phi")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    ws = _workspace(mesh)
-    geo = mesh.geometry
+    omega = mesh.geometry.omega
     phi_loc = phi[mesh.tets]
     vals = np.zeros((mesh.n_tets, 4, 4))
     for e, (nu, mu) in enumerate(LOCAL_EDGES):
         t_e = c_i * (phi_loc[:, nu] - phi_loc[:, mu])
-        w = geo.omega[:, e]
+        w = omega[:, e]
         b_fwd = w * bernoulli(t_e)
         b_bwd = w * bernoulli(-t_e)
         vals[:, nu, mu] -= b_fwd
         vals[:, mu, nu] -= b_bwd
         vals[:, nu, nu] += b_bwd
         vals[:, mu, mu] += b_fwd
-    data = _mass_data(mesh, ws, consistent_mass)
-    data += tau * ws._scatter(vals)
-    return _finalize(mesh, ws, data, species, apply_dirichlet)
+    return vals
 
 
 def assemble_np(
@@ -453,23 +338,34 @@ def assemble_np(
     tau: float,
     apply_dirichlet: bool = True,
 ) -> AssembledNP:
-    """Assemble one species' system for the configured scheme."""
+    """One species' system, lumped mass + tau * transport(phi), for cfg.scheme.
+
+    With c = ``cfg.drift[species]`` the transport is A_L + c C(phi) (fem),
+    the same plus the residual-based element terms (supg; the operators of
+    its source and previous-level parts are returned for the stepper), or
+    the edge-averaged operator of ``_eafe_local`` (eafe).  The mass stays
+    lumped: the positive off-diagonal entries of a consistent mass would
+    break the column M-matrix property of the eafe matrix.
+    """
+    phi = _check_dof(mesh, phi, "phi")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    ws = _workspace(mesh)
     c_i = cfg.drift[species]
-    if cfg.scheme == "fem":
-        return assemble_np_fem(
-            mesh, phi, c_i, tau, species, apply_dirichlet, cfg.consistent_mass
-        )
+    data = np.zeros(ws.pattern.nnz)
+    data[ws.diag_slots] = ws.lumped / 4.0
+    if cfg.scheme == "eafe":
+        data += tau * ws._scatter(_eafe_local(mesh, phi, c_i))
+    else:
+        data += tau * (ws.stiffness_data + c_i * assemble_convection(mesh, phi).data)
+    stab = stab_w = None
     if cfg.scheme == "supg":
-        return assemble_np_supg(
-            mesh,
-            phi,
-            c_i,
-            tau,
-            cfg.supg_scale,
-            species,
-            apply_dirichlet,
-            cfg.consistent_mass,
-        )
-    return assemble_np_eafe(
-        mesh, phi, c_i, tau, species, apply_dirichlet, cfg.consistent_mass
-    )
+        stream, svals, stab_w = _supg_element_terms(mesh, phi, c_i, cfg.supg_scale)
+        data += tau * ws._scatter(stream)
+        s_data = ws._scatter(np.broadcast_to(svals[:, :, None], (mesh.n_tets, 4, 4)))
+        data += s_data
+        stab = ws.matrix(s_data)
+    if apply_dirichlet:
+        data = np.where(ws.bdry_entry_mask, 0.0, data)
+        data[ws.diag_slots[mesh.boundary]] = 1.0
+    return AssembledNP(ws.matrix(data), stab, stab_w)

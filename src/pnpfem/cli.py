@@ -235,9 +235,8 @@ def run_contraction_study(cfg: RunConfig, multipliers=None, out_path=None):
         for mult in multipliers:
             tau = mult * h2
             try:
-                # tight inner solves: the smallest recorded increments must
-                # stay above the linear-solver floor or the trailing ratios
-                # measure solver noise instead of the contraction
+                # tight inner solves; the trailing ratios still sit at the
+                # solver's resolution (see the gummel module docstring)
                 _, result = _run_cell(scheme, cfg.n, tau, cfg, linear_tol=1e-12)
             except (TransientAbortError, NonConvergenceError) as exc:
                 failure = exc

@@ -35,6 +35,7 @@ __all__ = [
     "State",
     "GummelReport",
     "StepProblem",
+    "solve_potential",
     "gummel_step",
     "gummel_solve",
     "ContractionSummary",
@@ -113,20 +114,34 @@ class StepProblem:
     f_np: np.ndarray                      # (2, N) concentration right-hand sides
     bc_p: np.ndarray                      # (2, N) boundary values per species
     p_level: np.ndarray                   # (2, N) concentrations at the old level
+    mass: np.ndarray                      # (N,) lumped mass: support volume / 4
     source_elem_int: np.ndarray | None = None  # (2, M) per-element source integrals
-    mass_matrix: SparseMatrix | None = None    # consistent mass, if configured
-    lumped: np.ndarray | None = None           # per-node support volumes
-
-    def apply_mass(self, v: np.ndarray) -> np.ndarray:
-        if self.mass_matrix is not None:
-            return spmv(self.mass_matrix, v)
-        return self.lumped / 4.0 * v
 
 
 def _impose(values: np.ndarray, mask: np.ndarray, bc: np.ndarray) -> np.ndarray:
     out = values.copy()
     out[mask] = bc[mask]
     return out
+
+
+def solve_potential(
+    mesh: BoxMesh, cfg: SchemeConfig, matrix: SparseMatrix, load: np.ndarray,
+    mass: np.ndarray, bc: np.ndarray, p, guess: np.ndarray,
+) -> np.ndarray:
+    """Potential for the frozen concentration pair ``p``.
+
+    Solves ``matrix`` (stiffness with identity boundary rows) against
+    load + sum_i z_i * mass * p_i, with the boundary values ``bc`` put into
+    both the right-hand side and the initial guess.  Every potential solve
+    of a run, sweeps and refreshes alike, goes through here.
+    """
+    bmask = mesh.boundary
+    rhs = load.copy()
+    for z, p_i in zip(cfg.charges, p):
+        rhs += z * (mass * p_i)
+    rhs = _impose(rhs, bmask, bc)
+    x0 = _impose(guess, bmask, bc)
+    return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0).x
 
 
 def gummel_step(problem: StepProblem, iterate: State) -> State:
@@ -142,15 +157,11 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     cfg = problem.cfg
     bmask = mesh.boundary
 
-    rhs = problem.g_phi.copy()
     prev_p = (iterate.p1, iterate.p2)
-    for i, z in enumerate(cfg.charges):
-        rhs += z * problem.apply_mass(prev_p[i])
-    rhs = _impose(rhs, bmask, problem.bc_phi)
-    guess = _impose(iterate.phi, bmask, problem.bc_phi)
-    phi_new = solve_spd(
-        problem.poisson_matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=guess
-    ).x
+    phi_new = solve_potential(
+        mesh, cfg, problem.poisson_matrix, problem.g_phi, problem.mass,
+        problem.bc_phi, prev_p, iterate.phi,
+    )
 
     p_new = []
     for i in range(2):

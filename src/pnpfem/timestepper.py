@@ -10,9 +10,11 @@ potential is refreshed once against the accepted concentrations so the
 recorded state satisfies its own discrete potential equation at solver
 tolerance, and the step's operators are audited: concentration bounds, the
 rhs-positivity constants, the critical step size below which the right-hand
-side stays positive, and the column M-matrix verdict of the final
-concentration matrices (all on interior unknowns, where the homogeneous
-Dirichlet theory lives).
+side stays positive, and the column M-matrix verdict of the concentration
+matrices (all on interior unknowns, where the homogeneous Dirichlet theory
+lives).  The verdict is taken on matrices re-assembled at the refreshed,
+accepted potential, not on those of the last sweep, so that it describes
+the operator of the recorded state; this costs two assemblies per step.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 from . import assembly
-from .gummel import GummelReport, State, StepProblem, gummel_solve
-from .linalg import column_mmatrix_check, interior_submatrix, solve_spd, spmv
+from .gummel import GummelReport, State, StepProblem, gummel_solve, solve_potential
+from .linalg import column_mmatrix_check, interior_submatrix
+from .linalg import solve_spd, spmv  # unused here; bench/tracing.py wraps these names
 
 __all__ = [
     "TransientConfig",
@@ -168,29 +171,17 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
     a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
     omega_vol = assembly.lumped_volumes(mesh)
-    mass_matrix = assembly.assemble_consistent_mass(mesh) if cfg.consistent_mass else None
-
-    def apply_mass(v):
-        if mass_matrix is not None:
-            return spmv(mass_matrix, v)
-        return omega_vol / 4.0 * v
-
-    def poisson_solve(p1, p2, t, phi_guess, load=None):
-        if load is None:
-            load = assembly.assemble_load(mesh, tc.f, t, order)
-        rhs = load + cfg.charges[0] * apply_mass(p1) + cfg.charges[1] * apply_mass(p2)
-        bc = _boundary_values(mesh, tc.g_u, t)
-        rhs[bmask] = bc[bmask]
-        guess = phi_guess.copy()
-        guess[bmask] = bc[bmask]
-        return solve_spd(a_bc, rhs, cfg.linear_tol, cfg.linear_maxit, x0=guess).x
+    mass = omega_vol / 4.0
 
     p1 = np.asarray(tc.initial_p1(mesh.nodes), dtype=float)
     p2 = np.asarray(tc.initial_p2(mesh.nodes), dtype=float)
     if tc.initial_phi is not None:
         phi = np.asarray(tc.initial_phi(mesh.nodes), dtype=float)
     else:
-        phi = poisson_solve(p1, p2, 0.0, np.zeros(mesh.n_nodes))
+        phi = solve_potential(
+            mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.f, 0.0, order), mass,
+            _boundary_values(mesh, tc.g_u, 0.0), (p1, p2), np.zeros(mesh.n_nodes),
+        )
     state = State(phi, p1, p2, 0.0)
 
     result = TransientResult(state=state)
@@ -203,8 +194,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
         g2 = assembly.assemble_load(mesh, tc.F2, t_next, order)
         f_np = np.stack(
             (
-                tau_n * g1 + apply_mass(state.p1),
-                tau_n * g2 + apply_mass(state.p2),
+                tau_n * g1 + mass * state.p1,
+                tau_n * g2 + mass * state.p2,
             )
         )
         bc_p = np.stack(
@@ -232,9 +223,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             f_np=f_np,
             bc_p=bc_p,
             p_level=state.concentrations(),
+            mass=mass,
             source_elem_int=source_elem,
-            mass_matrix=mass_matrix,
-            lumped=omega_vol,
         )
         new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
         result.reports.append(report)
@@ -249,8 +239,9 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
         # refresh the potential against the accepted concentrations so the
         # stored state satisfies its own potential equation
-        new_state.phi = poisson_solve(
-            new_state.p1, new_state.p2, t_next, new_state.phi, load=g_phi
+        new_state.phi = solve_potential(
+            mesh, cfg, a_bc, g_phi, mass, problem.bc_phi,
+            (new_state.p1, new_state.p2), new_state.phi,
         )
 
         if tc.diagnostics and interior.any():

@@ -163,11 +163,12 @@ def test_criterion_3_mmatrix_suite():
             continue
         checked += 1
         tau = 0.01
+        eafe_unit = assembly.SchemeConfig(scheme="eafe", drift=(1.0, -1.0))
         worst_inverse = 0.0
         all_pass = True
         for _ in range(100):
             phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-            system = assembly.assemble_np_eafe(mesh, phi, 1.0, tau)
+            system = assembly.assemble_np(mesh, phi, eafe_unit, 0, tau)
             verdict = column_mmatrix_check(system.matrix).verdict
             all_pass &= verdict
             inv = np.linalg.inv(system.matrix.to_dense())
@@ -201,18 +202,21 @@ def test_criterion_4_oracle_equivalence():
 # -------------------------------------------------------------- criterion 5
 
 def test_criterion_5_reduction_identities():
+    def drift_cfg(scheme):
+        return assembly.SchemeConfig(scheme=scheme, drift=(0.179, -0.179))
+
     details = []
     ok = True
     for n, lo, hi in ((2, BOX[0], BOX[1]), (3, (0, 0, 0), (1, 1, 1))):
         mesh = build_box_mesh(n, lo, hi)
         zero = np.zeros(mesh.n_nodes)
         tau = 0.01
-        eafe = assembly.assemble_np_eafe(mesh, zero, 0.179, tau, apply_dirichlet=False)
+        eafe = assembly.assemble_np(mesh, zero, drift_cfg("eafe"), 0, tau, apply_dirichlet=False)
         target = np.diag(assembly.assemble_lumped_mass(mesh).diagonal()) \
             + tau * assembly.assemble_stiffness(mesh).to_dense()
         gap_eafe = float(np.abs(eafe.matrix.to_dense() - target).max())
-        fem = assembly.assemble_np_fem(mesh, zero, 0.179, tau)
-        supg = assembly.assemble_np_supg(mesh, zero, 0.179, tau)
+        fem = assembly.assemble_np(mesh, zero, drift_cfg("fem"), 0, tau)
+        supg = assembly.assemble_np(mesh, zero, drift_cfg("supg"), 0, tau)
         supg_equal = bool(np.array_equal(fem.matrix.data, supg.matrix.data))
         details.append(f"n={n}: |EAFE(0)-(M+tauA)|={gap_eafe:.1e}, SUPG(0)==FEM(0): {supg_equal}")
         ok &= gap_eafe < 1e-13 and supg_equal

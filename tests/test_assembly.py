@@ -8,14 +8,10 @@ import oracles
 from pnpfem.assembly import (
     SchemeConfig,
     apply_dirichlet_rows,
-    assemble_consistent_mass,
     assemble_convection,
     assemble_load,
     assemble_lumped_mass,
     assemble_np,
-    assemble_np_eafe,
-    assemble_np_fem,
-    assemble_np_supg,
     assemble_stiffness,
     bernoulli,
     edge_harmonic_average,
@@ -25,6 +21,11 @@ from pnpfem.assembly import (
 )
 from pnpfem.mesh import BoxMesh, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
+
+
+def np_cfg(scheme, c, supg_scale=1.0):
+    """Scheme config whose first species has drift coefficient c."""
+    return SchemeConfig(scheme=scheme, drift=(c, -c), supg_scale=supg_scale)
 
 
 def reference_tet_mesh(h=1.0):
@@ -118,14 +119,6 @@ def test_lumped_mass_matches_oracle():
     assert np.abs(
         assemble_lumped_mass(mesh).diagonal() - oracles.oracle_lumped_mass(mesh)
     ).max() < 1e-13
-
-
-def test_consistent_mass_row_sums():
-    mesh = build_box_mesh(2)
-    mc = assemble_consistent_mass(mesh).to_dense()
-    # row sums of the consistent mass equal the lumped diagonal
-    assert np.abs(mc.sum(axis=1) - assemble_lumped_mass(mesh).diagonal()).max() < 1e-14
-    assert np.abs(mc - mc.T).max() == 0.0
 
 
 # ---------------------------------------------------------------- convection
@@ -276,18 +269,19 @@ def test_harmonic_average_symmetry_and_difference_identity():
 def test_np_fem_zero_potential_is_mass_plus_stiffness():
     mesh = build_box_mesh(2)
     tau = 0.01
-    sys_ = assemble_np_fem(mesh, np.zeros(mesh.n_nodes), 1.0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(
+        mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False
+    )
     expect = np.diag(assemble_lumped_mass(mesh).diagonal()) + tau * assemble_stiffness(
         mesh
     ).to_dense()
     assert np.abs(sys_.matrix.to_dense() - expect).max() == 0.0
-    assert np.all(sys_.rhs == 0.0)
 
 
 def test_np_fem_small_tau_limit():
     mesh = build_box_mesh(1)
     tau = 1e-300
-    sys_ = assemble_np_fem(mesh, np.zeros(8), 1.0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False)
     m = assemble_lumped_mass(mesh).diagonal()
     off = sys_.matrix.to_dense() - np.diag(np.diag(sys_.matrix.to_dense()))
     assert np.abs(off).max() < 1e-250
@@ -297,7 +291,7 @@ def test_np_fem_small_tau_limit():
 def test_np_fem_rejects_bad_tau():
     mesh = build_box_mesh(1)
     with pytest.raises(ValueError):
-        assemble_np_fem(mesh, np.zeros(8), 1.0, 0.0)
+        assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, 0.0)
 
 
 # ----------------------------------------------------------------- np: supg
@@ -305,8 +299,8 @@ def test_np_fem_rejects_bad_tau():
 def test_supg_zero_potential_equals_fem():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     tau = 0.01
-    fem = assemble_np_fem(mesh, np.zeros(mesh.n_nodes), 0.179, tau)
-    supg = assemble_np_supg(mesh, np.zeros(mesh.n_nodes), 0.179, tau)
+    fem = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 0.179), 0, tau)
+    supg = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("supg", 0.179), 0, tau)
     assert np.array_equal(fem.matrix.data, supg.matrix.data)
     assert np.abs(supg.stab_matrix.data).max() == 0.0
 
@@ -331,9 +325,9 @@ def test_supg_stab_matches_oracle_two_tets():
     rng = np.random.default_rng(4)
     phi = rng.uniform(-2.0, 2.0, 5)  # large slopes: exercises the upwind branch
     tau, tt, c = 0.05, 1.3, 0.179
-    ours = assemble_np_supg(mesh, phi, c, tau, tt, apply_dirichlet=False)
+    ours = assemble_np(mesh, phi, np_cfg("supg", c, tt), 0, tau, apply_dirichlet=False)
     a_stream, s_time, node_w = oracles.oracle_supg_parts(mesh, phi, c, tt)
-    fem = assemble_np_fem(mesh, phi, c, tau, apply_dirichlet=False)
+    fem = assemble_np(mesh, phi, np_cfg("fem", c), 0, tau, apply_dirichlet=False)
     expect = fem.matrix.to_dense() + tau * a_stream + s_time
     assert np.abs(ours.matrix.to_dense() - expect).max() < 1e-12
     assert np.abs(ours.stab_matrix.to_dense() - s_time).max() < 1e-12
@@ -344,7 +338,7 @@ def test_supg_source_vector_scatter():
     mesh = build_box_mesh(1)
     rng = np.random.default_rng(6)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    sys_ = assemble_np_supg(mesh, phi, 1.0, 0.1)
+    sys_ = assemble_np(mesh, phi, np_cfg("supg", 1.0), 0, 0.1)
     elem = rng.uniform(0.0, 1.0, mesh.n_tets)
     vec = stab_source_vector(mesh, sys_, elem)
     expect = np.zeros(mesh.n_nodes)
@@ -359,7 +353,9 @@ def test_supg_source_vector_scatter():
 def test_eafe_zero_potential_reduces_to_stiffness():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     tau = 0.02
-    sys_ = assemble_np_eafe(mesh, np.zeros(mesh.n_nodes), 0.179, tau, apply_dirichlet=False)
+    sys_ = assemble_np(
+        mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), 0, tau, apply_dirichlet=False
+    )
     expect = np.diag(assemble_lumped_mass(mesh).diagonal()) + tau * assemble_stiffness(
         mesh
     ).to_dense()
@@ -371,7 +367,7 @@ def test_eafe_transport_column_sums_zero():
     rng = np.random.default_rng(7)
     phi = rng.uniform(-1.5, 1.5, mesh.n_nodes)
     tau = 0.01
-    sys_ = assemble_np_eafe(mesh, phi, 0.7, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, phi, np_cfg("eafe", 0.7), 0, tau, apply_dirichlet=False)
     transport_cols = (
         sys_.matrix.column_sums() - assemble_lumped_mass(mesh).diagonal()
     ) / tau
@@ -386,7 +382,7 @@ def test_eafe_entries_match_edge_quadrature():
     rng = np.random.default_rng(8)
     phi = rng.uniform(-1.0, 1.0, 5)
     tau, c = 0.03, 0.179
-    sys_ = assemble_np_eafe(mesh, phi, c, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )

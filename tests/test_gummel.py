@@ -9,8 +9,9 @@ from pnpfem.gummel import (
     contraction_stats,
     gummel_solve,
     gummel_step,
+    solve_potential,
 )
-from pnpfem.linalg import NonConvergenceError
+from pnpfem.linalg import NonConvergenceError, spmv
 from pnpfem.manufactured import scheme_config, transient_problem
 from pnpfem.mesh import build_box_mesh
 
@@ -51,8 +52,8 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
         f_np=f_np,
         bc_p=np.stack((bvals(tc.g_p1, t_next), bvals(tc.g_p2, t_next))),
         p_level=prev.concentrations(),
+        mass=ov / 4.0,
         source_elem_int=source_elem,
-        lumped=ov,
     )
 
 
@@ -96,6 +97,31 @@ def test_fixed_point_converges_in_one_sweep():
     state, report = gummel_solve(problem, fixed, eps=1e-6, maxit=10)
     assert report.converged
     assert report.iterations == 1
+
+
+def test_solve_potential_is_the_sweep_potential_solve():
+    mesh = build_box_mesh(3, *BOX)
+    scfg = scheme_config("fem")
+    tc = transient_problem(T=0.25, tau=0.01)
+    rng = np.random.default_rng(13)
+    n = mesh.n_nodes
+    prev = State(np.zeros(n), rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), 0.0)
+    problem = build_problem(mesh, scfg, tc, prev, 0.01, 0.01)
+    bmask = mesh.boundary
+    phi = solve_potential(
+        mesh, scfg, problem.poisson_matrix, problem.g_phi, problem.mass,
+        problem.bc_phi, (prev.p1, prev.p2), prev.phi,
+    )
+    # boundary rows hold the g_u data exactly
+    assert np.array_equal(phi[bmask], tc.g_u(mesh.nodes[bmask], 0.01))
+    rhs = problem.g_phi.copy()
+    for z, p_i in zip(scfg.charges, (prev.p1, prev.p2)):
+        rhs += z * (problem.mass * p_i)
+    rhs[bmask] = problem.bc_phi[bmask]
+    residual = np.linalg.norm(rhs - spmv(problem.poisson_matrix, phi))
+    assert residual <= scfg.linear_tol * np.linalg.norm(rhs)
+    # the sweep solves the same system the same way, bit for bit
+    assert np.array_equal(gummel_step(problem, prev).phi, phi)
 
 
 def test_iterates_match_dense_oracle_pipeline():

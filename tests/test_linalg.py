@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from pnpfem.assembly import apply_dirichlet_rows, assemble_np_eafe, assemble_stiffness
+from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
 from pnpfem.linalg import (
     NonConvergenceError,
     SparseMatrix,
@@ -16,6 +16,10 @@ from pnpfem.linalg import (
 )
 from pnpfem.manufactured import exact_eval
 from pnpfem.mesh import build_box_mesh
+
+
+def eafe_cfg(c):
+    return SchemeConfig(scheme="eafe", drift=(c, -c))
 
 
 def test_csr_validation():
@@ -104,7 +108,7 @@ def test_solve_general_matches_dense_on_np_system():
     mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(3)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    system = assemble_np_eafe(mesh, phi, 0.179, (1.0 / 4.0) ** 2)
+    system = assemble_np(mesh, phi, eafe_cfg(0.179), 0, (1.0 / 4.0) ** 2)
     b = rng.standard_normal(mesh.n_nodes)
     it = solve_general(system.matrix, b, tol=1e-12)
     dense = np.linalg.solve(system.matrix.to_dense(), b)
@@ -152,7 +156,7 @@ def test_mmatrix_check_assembled_eafe_interior():
     mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(11)
     phi = rng.uniform(-2.0, 2.0, mesh.n_nodes)
-    system = assemble_np_eafe(mesh, phi, 0.179, (1.0 / 4.0) ** 2)
+    system = assemble_np(mesh, phi, eafe_cfg(0.179), 0, (1.0 / 4.0) ** 2)
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     assert column_mmatrix_check(sub).verdict
 
@@ -161,7 +165,7 @@ def test_mmatrix_verdict_invariant_under_symmetric_permutation():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(5)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    system = assemble_np_eafe(mesh, phi, 0.5, 0.05)
+    system = assemble_np(mesh, phi, eafe_cfg(0.5), 0, 0.05)
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     perm = rng.permutation(sub.n)
     dense = sub.to_dense()[np.ix_(perm, perm)]
