@@ -12,7 +12,6 @@ from .assembly import (
     SchemeConfig,
     assemble_convection,
     assemble_load,
-    assemble_lumped_mass,
     assemble_np,
     assemble_stiffness,
     apply_dirichlet_rows,
@@ -35,7 +34,6 @@ from .linalg import (
     NonConvergenceError,
     SparseMatrix,
     column_mmatrix_check,
-    dump_matrix,
     interior_submatrix,
     solve_general,
     solve_spd,
@@ -45,11 +43,9 @@ from .mesh import (
     BoxMesh,
     DegenerateTetError,
     MeshQualityReport,
-    TetGeometry,
     build_box_mesh,
     dump_mesh,
     mesh_quality_report,
-    tet_geometry,
 )
 from .timestepper import (
     DiagnosticsRecord,

@@ -2,9 +2,9 @@
 
 All matrices live on one shared sparsity pattern per mesh (node adjacency),
 built once and cached, so a scheme assembly is a handful of vectorized
-element computations followed by a deterministic scatter-add.  Entries whose
+element computations followed by a fixed-order scatter-add.  Entries whose
 integrands are polynomial are integrated in closed form; source terms use a
-configurable quadrature rule.
+degree-2 simplex quadrature rule unless the caller passes another order.
 
 The three concentration operators share one entry point, ``assemble_np``,
 and the contract
@@ -33,7 +33,6 @@ __all__ = [
     "assemble_stiffness",
     "apply_dirichlet_rows",
     "lumped_volumes",
-    "assemble_lumped_mass",
     "assemble_convection",
     "assemble_load",
     "element_integrals",
@@ -60,7 +59,6 @@ class SchemeConfig:
     charges: tuple[float, float] = (1.0, -1.0)
     drift: tuple[float, float] = (1.0, -1.0)
     supg_scale: float = 1.0
-    quadrature_order: int = 2
     linear_tol: float = 1e-10
     linear_maxit: int = 5000
 
@@ -73,8 +71,6 @@ class SchemeConfig:
             raise ValueError("charges and drift coefficients must be finite")
         if not self.supg_scale > 0:
             raise ValueError("supg_scale must be positive")
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be at least 1")
         if not self.linear_tol > 0:
             raise ValueError("linear_tol must be positive")
 
@@ -147,7 +143,11 @@ def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
 
 
 def apply_dirichlet_rows(a: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
-    """Replace the rows flagged in ``mask`` by identity rows."""
+    """Replace the rows flagged in ``mask`` by identity rows.
+
+    The result shares the pattern of ``a``, so every flagged row must store
+    its diagonal entry; the mesh workspace pattern stores all of them.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (a.n,):
         raise ValueError("mask must have one flag per row")
@@ -156,15 +156,9 @@ def apply_dirichlet_rows(a: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
     diag_entries = (rows == a.indices) & mask[rows]
     hit = np.zeros(a.n, dtype=bool)
     hit[a.indices[diag_entries]] = True
-    if not np.all(hit[mask]):
-        # pattern lacks a diagonal entry for some constrained row
-        extra = np.flatnonzero(mask & ~hit)
-        return SparseMatrix.from_coo(
-            a.n,
-            np.concatenate([rows, extra]),
-            np.concatenate([a.indices, extra]),
-            np.concatenate([data, np.ones(extra.size)]),
-        )
+    missing = np.flatnonzero(mask & ~hit)
+    if missing.size:
+        raise ValueError(f"constrained row {missing[0]} has no stored diagonal entry")
     data[diag_entries] = 1.0
     return a.with_data(data)
 
@@ -172,11 +166,6 @@ def apply_dirichlet_rows(a: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
 def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
     """Per-node support volumes: total volume of the tets touching the node."""
     return _workspace(mesh).lumped.copy()
-
-
-def assemble_lumped_mass(mesh: BoxMesh) -> SparseMatrix:
-    """Diagonal mass matrix with entries (support volume)/4."""
-    return SparseMatrix.diagonal_matrix(_workspace(mesh).lumped / 4.0)
 
 
 def assemble_convection(mesh: BoxMesh, phi: np.ndarray) -> SparseMatrix:

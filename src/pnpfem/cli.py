@@ -61,7 +61,6 @@ class RunConfig:
     out: str = "."
     sizes: tuple[int, ...] = (4, 8, 16)
     multipliers: tuple[float, ...] = (4.0, 2.0, 1.0)
-    deterministic: bool = True
 
     def validate(self):
         if self.scheme not in ("fem", "supg", "eafe"):

@@ -3,7 +3,7 @@
 Each sweep first solves the potential equation with the concentrations of
 the previous sweep frozen, then solves the two concentration systems with
 the fresh potential frozen.  The iteration logic is scheme-agnostic: the
-only scheme dependence sits behind the assembly dispatcher.
+only scheme dependence sits behind ``assembly.assemble_np``.
 
 Instrumentation: per-sweep increments are recorded in both the Euclidean
 norm on nodal vectors (used by the stopping test) and the max norm, whose

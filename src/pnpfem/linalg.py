@@ -25,7 +25,6 @@ __all__ = [
     "MMatrixReport",
     "column_mmatrix_check",
     "interior_submatrix",
-    "dump_matrix",
 ]
 
 
@@ -69,10 +68,13 @@ class SparseMatrix:
             raise ValueError("indices and data length mismatch")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise ValueError("column index out of range")
-        for r in range(self.n):
-            cols = self.indices[self.indptr[r] : self.indptr[r + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
+        # entry k + 1 continues the row of entry k unless a row starts there
+        row_start = np.zeros(self.indices.size + 1, dtype=bool)
+        row_start[self.indptr] = True
+        bad = np.flatnonzero(~row_start[1:-1] & (np.diff(self.indices) <= 0))
+        if bad.size:
+            r = int(np.searchsorted(self.indptr, bad[0], side="right")) - 1
+            raise ValueError(f"row {r}: column indices not strictly increasing")
 
     @property
     def nnz(self) -> int:
@@ -122,25 +124,6 @@ class SparseMatrix:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
         return cls(n, indptr, indices, data, _checked=True)
-
-    @classmethod
-    def from_dense(cls, a, drop_tol: float = 0.0) -> "SparseMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square matrix")
-        rows, cols = np.nonzero(np.abs(a) > drop_tol)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
-
-    @classmethod
-    def identity(cls, n) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n), _checked=True)
-
-    @classmethod
-    def diagonal_matrix(cls, d) -> "SparseMatrix":
-        d = np.asarray(d, dtype=float)
-        idx = np.arange(d.size, dtype=np.int64)
-        return cls(d.size, np.arange(d.size + 1, dtype=np.int64), idx, d.copy(), _checked=True)
 
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
@@ -336,8 +319,8 @@ class MMatrixReport:
 
     The verdict certifies: nonpositive off-diagonals, strictly positive
     diagonal, weakly nonnegative column sums, and at least one strictly
-    positive column sum.  Irreducibility is not checked
-    (``irreducibility_checked`` stays False as a caveat).
+    positive column sum.  Irreducibility is not checked, so a passing
+    verdict alone does not prove that the matrix is a nonsingular M-matrix.
     """
 
     offdiag_sign_ok: bool
@@ -346,7 +329,6 @@ class MMatrixReport:
     violations: list[tuple[int, int, float]] = field(default_factory=list)
     column_violations: list[tuple[int, float]] = field(default_factory=list)
     tol: float = 0.0
-    irreducibility_checked: bool = False
 
     @property
     def verdict(self) -> bool:
@@ -413,15 +395,3 @@ def interior_submatrix(a: SparseMatrix, keep: np.ndarray) -> SparseMatrix:
         int(keep.sum()), new_index[rows[sel]], new_index[a.indices[sel]], a.data[sel]
     )
 
-
-def dump_matrix(a: SparseMatrix, target) -> None:
-    """Write the matrix in zero-based coordinate text form: row col value."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w") if own else target
-    try:
-        rows = a.rows()
-        for k in range(a.nnz):
-            fh.write(f"{rows[k]} {a.indices[k]} {float(a.data[k])!r}\n")
-    finally:
-        if own:
-            fh.close()

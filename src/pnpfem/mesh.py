@@ -3,8 +3,8 @@
 Boxes are subdivided into a uniform grid of cells and each cell is cut into
 six tetrahedra sharing the cell's main diagonal (Kuhn / Freudenthal
 subdivision).  That keeps the triangulation face-to-face across neighbouring
-cells and makes node and element numbering fully deterministic, which in turn
-makes every assembled sparsity pattern reproducible bit for bit.
+cells and fixes node and element numbering, which in turn makes every
+assembled sparsity pattern reproducible bit for bit.
 
 Besides connectivity, the mesh exposes per-element geometry: element volumes,
 gradients of the barycentric coordinates, and the edge weights
@@ -27,10 +27,8 @@ import numpy as np
 __all__ = [
     "LOCAL_EDGES",
     "DegenerateTetError",
-    "TetGeometry",
     "BoxMesh",
     "build_box_mesh",
-    "tet_geometry",
     "MeshQualityReport",
     "mesh_quality_report",
     "dump_mesh",
@@ -42,25 +40,6 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 class DegenerateTetError(ValueError):
     """A tetrahedron has zero or negative volume under its stored order."""
-
-
-@dataclass(frozen=True)
-class TetGeometry:
-    """Geometry of a single tetrahedron.
-
-    Attributes
-    ----------
-    volume : float
-        Element volume, strictly positive.
-    grad_lambda : (4, 3) ndarray
-        Gradients of the four barycentric coordinates; they sum to zero.
-    omega : (6,) ndarray
-        Edge weights, one per entry of ``LOCAL_EDGES``.
-    """
-
-    volume: float
-    grad_lambda: np.ndarray
-    omega: np.ndarray
 
 
 class _MeshGeometry:
@@ -105,15 +84,15 @@ class _MeshGeometry:
 
 
 class BoxMesh:
-    """Tetrahedral mesh with node coordinates, connectivity and edge list.
+    """Tetrahedral mesh: node coordinates, connectivity and boundary flags.
 
     Instances are immutable after construction and safe to share between
     threads.  ``nodes`` is (N, 3) float, ``tets`` is (M, 4) int with positive
-    orientation, ``edges`` is (E, 2) int with smaller node index first, and
-    ``tet_edges`` maps (tet, local edge) to the global edge index.
+    orientation and ``boundary`` flags the Dirichlet nodes.  Element geometry
+    is computed on first use.
     """
 
-    def __init__(self, nodes, tets, boundary, n: int = 0):
+    def __init__(self, nodes, tets, boundary):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         boundary = np.ascontiguousarray(boundary, dtype=bool)
@@ -129,31 +108,11 @@ class BoxMesh:
         self.nodes = nodes
         self.tets = tets
         self.boundary = boundary
-        self.n = int(n)
-
-        # global edge list: each node pair once, smaller index first
-        pairs = tets[:, LOCAL_EDGES]               # (M, 6, 2)
-        lo = pairs.min(axis=2)
-        hi = pairs.max(axis=2)
-        keys = lo.astype(np.int64) * nodes.shape[0] + hi
-        unique_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
-        self.edges = np.column_stack(
-            (unique_keys // nodes.shape[0], unique_keys % nodes.shape[0])
-        )
-        self.tet_edges = inverse.reshape(tets.shape[0], 6).astype(np.int64)
-
-        # mesh size: max element diameter (needs no orientation check)
-        corners = nodes[tets]
-        h = 0.0
-        for nu, mu in LOCAL_EDGES:
-            d = np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1)
-            h = max(h, float(d.max())) if d.size else h
-        self.h = h
 
         self._geometry: _MeshGeometry | None = None
         self._workspace = None  # assembly pattern cache, set by pnpfem.assembly
 
-        for arr in (self.nodes, self.tets, self.boundary, self.edges, self.tet_edges):
+        for arr in (self.nodes, self.tets, self.boundary):
             arr.setflags(write=False)
 
     @property
@@ -171,6 +130,11 @@ class BoxMesh:
             self._geometry = _MeshGeometry(self.nodes, self.tets)
         return self._geometry
 
+    @property
+    def h(self) -> float:
+        """Mesh size: the largest element diameter."""
+        return float(self.geometry.diameters.max())
+
     @classmethod
     def from_cells(cls, nodes, tets, boundary=None) -> "BoxMesh":
         """Build a mesh from explicit arrays (synthetic/test meshes).
@@ -182,7 +146,7 @@ class BoxMesh:
         nodes = np.asarray(nodes, dtype=float)
         if boundary is None:
             boundary = np.ones(nodes.shape[0], dtype=bool)
-        return cls(nodes, tets, boundary, n=0)
+        return cls(nodes, tets, boundary)
 
 
 def _perm_sign(perm) -> int:
@@ -246,19 +210,7 @@ def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:
     ids = (corner_ijk[..., 0] * m + corner_ijk[..., 1]) * m + corner_ijk[..., 2]
     tets = ids.reshape(-1, 4)
 
-    return BoxMesh(nodes, tets, boundary, n=n)
-
-
-def tet_geometry(mesh: BoxMesh, tet_index: int) -> TetGeometry:
-    """Volume, barycentric gradients and the six edge weights of one tet."""
-    if not 0 <= tet_index < mesh.n_tets:
-        raise IndexError(f"tet index {tet_index} out of range 0..{mesh.n_tets - 1}")
-    geo = mesh.geometry
-    return TetGeometry(
-        volume=float(geo.volumes[tet_index]),
-        grad_lambda=geo.grad_lambda[tet_index].copy(),
-        omega=geo.omega[tet_index].copy(),
-    )
+    return BoxMesh(nodes, tets, boundary)
 
 
 @dataclass

@@ -49,9 +49,8 @@ class TransientConfig:
 
     Source and boundary callables take (points, t) with points of shape
     (Q, 3) and return (Q,) values; initial-concentration callables take the
-    points only.  ``initial_phi`` may be omitted, in which case the starting
-    potential is obtained from a potential solve against the initial
-    concentrations.
+    points only.  The starting potential is obtained from a potential solve
+    against the initial concentrations.
     """
 
     T: float
@@ -64,8 +63,6 @@ class TransientConfig:
     f: FieldFn
     F1: FieldFn
     F2: FieldFn
-    initial_phi: Callable[[np.ndarray], np.ndarray] | None = None
-    diagnostics: bool = True
     eps: float = 1e-6
     max_iter: int = 500
 
@@ -167,7 +164,6 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     tc = transient_cfg
     bmask = mesh.boundary
     interior = ~bmask
-    order = cfg.quadrature_order
 
     a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
     omega_vol = assembly.lumped_volumes(mesh)
@@ -175,13 +171,10 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
     p1 = np.asarray(tc.initial_p1(mesh.nodes), dtype=float)
     p2 = np.asarray(tc.initial_p2(mesh.nodes), dtype=float)
-    if tc.initial_phi is not None:
-        phi = np.asarray(tc.initial_phi(mesh.nodes), dtype=float)
-    else:
-        phi = solve_potential(
-            mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.f, 0.0, order), mass,
-            _boundary_values(mesh, tc.g_u, 0.0), (p1, p2), np.zeros(mesh.n_nodes),
-        )
+    phi = solve_potential(
+        mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.f, 0.0), mass,
+        _boundary_values(mesh, tc.g_u, 0.0), (p1, p2), np.zeros(mesh.n_nodes),
+    )
     state = State(phi, p1, p2, 0.0)
 
     result = TransientResult(state=state)
@@ -189,9 +182,9 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     for step in range(tc.n_steps):
         t_next = min((step + 1) * tc.tau, tc.T)
         tau_n = t_next - t
-        g_phi = assembly.assemble_load(mesh, tc.f, t_next, order)
-        g1 = assembly.assemble_load(mesh, tc.F1, t_next, order)
-        g2 = assembly.assemble_load(mesh, tc.F2, t_next, order)
+        g_phi = assembly.assemble_load(mesh, tc.f, t_next)
+        g1 = assembly.assemble_load(mesh, tc.F1, t_next)
+        g2 = assembly.assemble_load(mesh, tc.F2, t_next)
         f_np = np.stack(
             (
                 tau_n * g1 + mass * state.p1,
@@ -208,8 +201,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
         if cfg.scheme == "supg":
             source_elem = np.stack(
                 (
-                    assembly.element_integrals(mesh, tc.F1, t_next, order),
-                    assembly.element_integrals(mesh, tc.F2, t_next, order),
+                    assembly.element_integrals(mesh, tc.F1, t_next),
+                    assembly.element_integrals(mesh, tc.F2, t_next),
                 )
             )
         problem = StepProblem(
@@ -244,7 +237,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             (new_state.p1, new_state.p2), new_state.phi,
         )
 
-        if tc.diagnostics and interior.any():
+        if interior.any():
             result.diagnostics.append(
                 _diagnose(
                     mesh, cfg, step, t_next, tau_n, state, new_state,

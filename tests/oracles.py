@@ -6,10 +6,13 @@ transform, default 6^3 points, exact far beyond degree 8 for polynomials),
 barycentric coordinates come from solving the 4x4 vertex system per element,
 and edge averages of exponentials come from 64-point Gauss on the edge.
 Dense matrices, Python loops over elements; meant for meshes with at most a
-few hundred nodes.
+few hundred nodes.  ``csr_from_dense`` is the one bridge back into the
+package's CSR type, for tests that hand-build small sparse matrices.
 """
 
 import numpy as np
+
+from pnpfem.linalg import SparseMatrix
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -166,6 +169,13 @@ def oracle_supg_parts(mesh, phi, c, tau_tilde, q: int = 6):
                 )
                 s_time[tet[i], tet[j]] += det * float(ref_w @ lam[:, j]) * wi
     return a_stream, s_time, node_w
+
+
+def csr_from_dense(a):
+    """CSR matrix holding the nonzero entries of a square dense array."""
+    a = np.asarray(a, dtype=float)
+    rows, cols = np.nonzero(a)
+    return SparseMatrix.from_coo(a.shape[0], rows, cols, a[rows, cols])
 
 
 def dirichlet_rows(a, mask):

@@ -10,7 +10,6 @@ from pnpfem.assembly import (
     apply_dirichlet_rows,
     assemble_convection,
     assemble_load,
-    assemble_lumped_mass,
     assemble_np,
     assemble_stiffness,
     bernoulli,
@@ -19,6 +18,7 @@ from pnpfem.assembly import (
     lumped_volumes,
     stab_source_vector,
 )
+from pnpfem.linalg import SparseMatrix
 from pnpfem.mesh import BoxMesh, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
@@ -83,6 +83,15 @@ def test_stiffness_dirichlet_identity_rows():
         assert np.all(row == 0.0)
 
 
+def test_dirichlet_rows_need_stored_diagonal():
+    # row 1 stores only its off-diagonal entry, so it cannot become an identity row
+    a = SparseMatrix(2, [0, 2, 3], [0, 1, 0], [2.0, -1.0, -1.0])
+    with pytest.raises(ValueError, match="row 1"):
+        apply_dirichlet_rows(a, np.array([False, True]))
+    fixed = apply_dirichlet_rows(a, np.array([True, False]))
+    assert np.array_equal(fixed.to_dense(), [[1.0, 0.0], [-1.0, 0.0]])
+
+
 def test_stiffness_matches_oracle():
     mesh = build_box_mesh(2)
     a = assemble_stiffness(mesh).to_dense()
@@ -93,23 +102,23 @@ def test_stiffness_matches_oracle():
 
 def test_lumped_mass_totals():
     mesh = build_box_mesh(2, (0, 0, 0), (1, 2, 1))
-    m = assemble_lumped_mass(mesh)
+    m = lumped_volumes(mesh) / 4.0
     # sum of support volumes is 4x the box volume; diagonal carries /4
-    assert m.data.sum() == pytest.approx(2.0, rel=1e-13)
-    assert (m.data > 0).all()
+    assert m.sum() == pytest.approx(2.0, rel=1e-13)
+    assert (m > 0).all()
 
 
 def test_lumped_mass_main_diagonal_node():
     # h=1 cube: the two main-diagonal corners belong to all six tets
     mesh = build_box_mesh(1)
-    m = assemble_lumped_mass(mesh).diagonal()
+    m = lumped_volumes(mesh) / 4.0
     full = [k for k in range(8) if m[k] == pytest.approx(0.25, rel=1e-13)]
     assert len(full) == 2
 
 
 def test_lumped_mass_single_tet():
     mesh = reference_tet_mesh(2.0)
-    m = assemble_lumped_mass(mesh).diagonal()
+    m = lumped_volumes(mesh) / 4.0
     vol = mesh.geometry.volumes[0]
     assert np.allclose(m, vol / 4.0, rtol=1e-14)
 
@@ -117,7 +126,7 @@ def test_lumped_mass_single_tet():
 def test_lumped_mass_matches_oracle():
     mesh = build_box_mesh(3, (0, 0, 0), (1, 1, 2))
     assert np.abs(
-        assemble_lumped_mass(mesh).diagonal() - oracles.oracle_lumped_mass(mesh)
+        lumped_volumes(mesh) / 4.0 - oracles.oracle_lumped_mass(mesh)
     ).max() < 1e-13
 
 
@@ -272,7 +281,7 @@ def test_np_fem_zero_potential_is_mass_plus_stiffness():
     sys_ = assemble_np(
         mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False
     )
-    expect = np.diag(assemble_lumped_mass(mesh).diagonal()) + tau * assemble_stiffness(
+    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * assemble_stiffness(
         mesh
     ).to_dense()
     assert np.abs(sys_.matrix.to_dense() - expect).max() == 0.0
@@ -282,7 +291,7 @@ def test_np_fem_small_tau_limit():
     mesh = build_box_mesh(1)
     tau = 1e-300
     sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False)
-    m = assemble_lumped_mass(mesh).diagonal()
+    m = lumped_volumes(mesh) / 4.0
     off = sys_.matrix.to_dense() - np.diag(np.diag(sys_.matrix.to_dense()))
     assert np.abs(off).max() < 1e-250
     assert np.abs(np.diag(sys_.matrix.to_dense()) - m).max() < 1e-250
@@ -356,7 +365,7 @@ def test_eafe_zero_potential_reduces_to_stiffness():
     sys_ = assemble_np(
         mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), 0, tau, apply_dirichlet=False
     )
-    expect = np.diag(assemble_lumped_mass(mesh).diagonal()) + tau * assemble_stiffness(
+    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * assemble_stiffness(
         mesh
     ).to_dense()
     assert np.abs(sys_.matrix.to_dense() - expect).max() < 1e-13
@@ -369,7 +378,7 @@ def test_eafe_transport_column_sums_zero():
     tau = 0.01
     sys_ = assemble_np(mesh, phi, np_cfg("eafe", 0.7), 0, tau, apply_dirichlet=False)
     transport_cols = (
-        sys_.matrix.column_sums() - assemble_lumped_mass(mesh).diagonal()
+        sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
     ) / tau
     assert np.abs(transport_cols).max() < 1e-12
 

@@ -1,14 +1,12 @@
-import io
-
 import numpy as np
 import pytest
 
+from oracles import csr_from_dense
 from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
 from pnpfem.linalg import (
     NonConvergenceError,
     SparseMatrix,
     column_mmatrix_check,
-    dump_matrix,
     interior_submatrix,
     solve_general,
     solve_spd,
@@ -27,6 +25,27 @@ def test_csr_validation():
         SparseMatrix(2, [0, 1, 1], [0, 0], [1.0, 1.0])  # length mismatch
     with pytest.raises(ValueError):
         SparseMatrix(2, [0, 2, 3], [1, 0, 0], [1.0, 1.0, 1.0])  # unsorted row
+    with pytest.raises(ValueError):
+        SparseMatrix(2, [0, 2, 3], [0, 0, 1], [1.0, 1.0, 1.0])  # duplicate column in a row
+    # columns may fall across a row boundary
+    a = SparseMatrix(2, [0, 1, 2], [1, 0], [1.0, 2.0])
+    assert np.array_equal(a.to_dense(), [[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_csr_validation_matches_row_loop():
+    # the per-row loop that the vectorised check replaced, as the reference
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 4, n))])
+        indices = rng.integers(0, n, indptr[-1])
+        valid = all(np.all(np.diff(indices[indptr[r] : indptr[r + 1]]) > 0) for r in range(n))
+        try:
+            SparseMatrix(n, indptr, indices, np.ones(indices.size))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == valid
 
 
 def test_from_coo_sums_duplicates():
@@ -38,13 +57,13 @@ def test_from_coo_sums_duplicates():
 
 def test_spmv_identity_and_zero():
     x = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(spmv(SparseMatrix.identity(3), x), x)
+    assert np.array_equal(spmv(csr_from_dense(np.eye(3)), x), x)
     zero = SparseMatrix(3, [0, 0, 0, 0], [], [])
     assert np.array_equal(spmv(zero, x), np.zeros(3))
 
 
 def test_spmv_tridiagonal():
-    a = SparseMatrix.from_dense(
+    a = csr_from_dense(
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
     assert np.array_equal(spmv(a, np.ones(3)), np.array([1.0, 0.0, 1.0]))
@@ -52,18 +71,18 @@ def test_spmv_tridiagonal():
 
 def test_spmv_dimension_mismatch():
     with pytest.raises(ValueError):
-        spmv(SparseMatrix.identity(3), np.ones(4))
+        spmv(csr_from_dense(np.eye(3)), np.ones(4))
 
 
 def test_solve_spd_identity():
     b = np.array([1.0, 2.0, 3.0])
-    res = solve_spd(SparseMatrix.identity(3), b)
+    res = solve_spd(csr_from_dense(np.eye(3)), b)
     assert res.iterations <= 1
     assert np.allclose(res.x, b, atol=1e-14)
 
 
 def test_solve_spd_tridiagonal():
-    a = SparseMatrix.from_dense(
+    a = csr_from_dense(
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
     res = solve_spd(a, np.ones(3))
@@ -84,7 +103,7 @@ def test_solve_spd_assembled_poisson():
 
 
 def test_solve_spd_nonconvergence_carries_residual():
-    a = SparseMatrix.from_dense(
+    a = csr_from_dense(
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
     with pytest.raises(NonConvergenceError) as err:
@@ -93,13 +112,13 @@ def test_solve_spd_nonconvergence_carries_residual():
 
 
 def test_solve_general_diagonal():
-    a = SparseMatrix.diagonal_matrix(np.array([2.0, 4.0]))
+    a = csr_from_dense(np.diag([2.0, 4.0]))
     res = solve_general(a, np.array([2.0, 8.0]))
     assert np.allclose(res.x, [1.0, 2.0], atol=1e-12)
 
 
 def test_solve_general_2x2():
-    a = SparseMatrix.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    a = csr_from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     res = solve_general(a, np.array([1.0, 0.0]))
     assert np.allclose(res.x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
@@ -117,36 +136,35 @@ def test_solve_general_matches_dense_on_np_system():
 
 def test_solve_general_dense_fallback_on_breakdown():
     # skew system makes the first bicgstab direction degenerate (r'Ar = 0)
-    a = SparseMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    a = csr_from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     res = solve_general(a, np.array([1.0, 1.0]))
     assert res.method == "dense"
     assert np.allclose(res.x, [-1.0, 1.0], atol=1e-12)
 
 
 def test_mmatrix_check_identity_passes():
-    rep = column_mmatrix_check(SparseMatrix.identity(4))
+    rep = column_mmatrix_check(csr_from_dense(np.eye(4)))
     assert rep.verdict
     assert rep.offdiag_sign_ok and rep.column_weak_dominance_ok
     assert rep.strict_column_exists
-    assert not rep.irreducibility_checked
 
 
 def test_mmatrix_check_positive_offdiag_fails():
-    rep = column_mmatrix_check(SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]])))
+    rep = column_mmatrix_check(csr_from_dense(np.array([[1.0, 2.0], [0.0, 1.0]])))
     assert not rep.verdict
     assert not rep.offdiag_sign_ok
     assert (0, 1, 2.0) in rep.violations
 
 
 def test_mmatrix_check_negative_column_sum():
-    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [-2.0, 1.0]]))
+    a = csr_from_dense(np.array([[1.0, 0.0], [-2.0, 1.0]]))
     rep = column_mmatrix_check(a)
     assert not rep.column_weak_dominance_ok
     assert rep.column_violations and rep.column_violations[0][0] == 0
 
 
 def test_mmatrix_check_zero_diagonal_fails():
-    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    a = csr_from_dense(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     rep = column_mmatrix_check(a)
     assert not rep.verdict
     assert any(r == c == 1 for r, c, _ in rep.violations)
@@ -169,7 +187,7 @@ def test_mmatrix_verdict_invariant_under_symmetric_permutation():
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     perm = rng.permutation(sub.n)
     dense = sub.to_dense()[np.ix_(perm, perm)]
-    assert column_mmatrix_check(SparseMatrix.from_dense(dense)).verdict == \
+    assert column_mmatrix_check(csr_from_dense(dense)).verdict == \
         column_mmatrix_check(sub).verdict
 
 
@@ -181,25 +199,16 @@ def test_passing_check_implies_nonnegative_inverse():
         np.fill_diagonal(off, 0.0)
         a = off.copy()
         np.fill_diagonal(a, -off.sum(axis=0) + rng.uniform(0.1, 1.0, n))
-        rep = column_mmatrix_check(SparseMatrix.from_dense(a))
+        rep = column_mmatrix_check(csr_from_dense(a))
         assert rep.verdict
         inv = np.linalg.inv(a)
         assert inv.min() >= -1e-10
 
 
 def test_interior_submatrix_values():
-    a = SparseMatrix.from_dense(np.arange(16, dtype=float).reshape(4, 4) + 1.0)
+    a = csr_from_dense(np.arange(16, dtype=float).reshape(4, 4) + 1.0)
     keep = np.array([True, False, True, False])
     sub = interior_submatrix(a, keep)
     assert sub.n == 2
     assert np.array_equal(sub.to_dense(), np.array([[1.0, 3.0], [9.0, 11.0]]))
 
-
-def test_dump_matrix_roundtrip():
-    a = SparseMatrix.from_dense(np.array([[1.5, 0.0], [-2.25, 3.0]]))
-    buf = io.StringIO()
-    dump_matrix(a, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == a.nnz
-    entries = {(int(r), int(c)): float(v) for r, c, v in (l.split() for l in lines)}
-    assert entries[(1, 0)] == -2.25

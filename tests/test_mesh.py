@@ -10,7 +10,6 @@ from pnpfem.mesh import (
     build_box_mesh,
     dump_mesh,
     mesh_quality_report,
-    tet_geometry,
 )
 
 
@@ -59,49 +58,33 @@ def test_grad_lambda_partition_of_unity():
     assert np.abs(sums).max() == 0.0
 
 
-def test_edges_sorted_and_unique():
-    m = build_box_mesh(2)
-    assert (m.edges[:, 0] < m.edges[:, 1]).all()
-    keys = m.edges[:, 0] * m.n_nodes + m.edges[:, 1]
-    assert np.unique(keys).size == keys.size
-    # tet_edges maps back to the right node pairs
-    for k in range(m.n_tets):
-        for e, (nu, mu) in enumerate(LOCAL_EDGES):
-            pair = sorted((m.tets[k, nu], m.tets[k, mu]))
-            assert list(m.edges[m.tet_edges[k, e]]) == pair
-
-
 def test_kuhn_path_tet_geometry():
     # reference Kuhn tet (0,0,0),(h,0,0),(h,h,0),(h,h,h)
     h = 0.25
     nodes = np.array([[0, 0, 0], [h, 0, 0], [h, h, 0], [h, h, h]], dtype=float)
     m = BoxMesh.from_cells(nodes, [[0, 1, 2, 3]])
-    g = tet_geometry(m, 0)
-    assert g.volume == pytest.approx(h**3 / 6.0, rel=1e-14)
-    assert np.allclose(g.grad_lambda[0], [-1.0 / h, 0.0, 0.0], atol=1e-13)
+    g = m.geometry
+    volume, grad_lambda, omega = g.volumes[0], g.grad_lambda[0], g.omega[0]
+    assert volume == pytest.approx(h**3 / 6.0, rel=1e-14)
+    assert np.allclose(grad_lambda[0], [-1.0 / h, 0.0, 0.0], atol=1e-13)
     # omega is -volume * (grad mu . grad nu), exactly
     for e, (nu, mu) in enumerate(LOCAL_EDGES):
-        expect = -g.volume * float(g.grad_lambda[mu] @ g.grad_lambda[nu])
-        assert g.omega[e] == expect
+        expect = -volume * float(grad_lambda[mu] @ grad_lambda[nu])
+        assert omega[e] == expect
 
 
 def test_stiffness_row_sums_from_omega():
     # summing -omega over the edges at a vertex gives minus the diagonal
     m = build_box_mesh(2, (0, 0, 0), (1, 2, 1))
-    g = tet_geometry(m, 5)
+    g = m.geometry
+    volume, grad_lambda, omega = g.volumes[5], g.grad_lambda[5], g.omega[5]
     for v in range(4):
-        diag = g.volume * float(g.grad_lambda[v] @ g.grad_lambda[v])
+        diag = volume * float(grad_lambda[v] @ grad_lambda[v])
         acc = 0.0
         for e, (nu, mu) in enumerate(LOCAL_EDGES):
             if v in (nu, mu):
-                acc -= g.omega[e]
+                acc -= omega[e]
         assert acc == pytest.approx(-diag, abs=1e-15)
-
-
-def test_tet_geometry_index_check():
-    m = build_box_mesh(1)
-    with pytest.raises(IndexError):
-        tet_geometry(m, 6)
 
 
 def test_quality_kuhn_mesh_three_zero_weights():
@@ -175,4 +158,3 @@ def test_determinism():
     b = build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.tets, b.tets)
-    assert np.array_equal(a.edges, b.edges)

@@ -187,17 +187,6 @@ def test_positivity_with_positive_initial_data():
     assert all(d.tau_star == float("inf") for d in result.diagnostics)
 
 
-def test_initial_phi_provider_respected():
-    mesh = build_box_mesh(2, *BOX)
-
-    def init_phi(pts):
-        return np.full(len(pts), 0.0)
-
-    tc = zero_config(T=0.01, tau=0.01, initial_phi=init_phi)
-    result = run_transient(mesh, scheme_config("fem"), tc)
-    assert result.reports[0].converged
-
-
 def test_write_history_format():
     mesh = build_box_mesh(2, *BOX)
     tau = 0.01
