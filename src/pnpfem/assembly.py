@@ -1,10 +1,10 @@
 """Global operators for the coupled potential/concentration system.
 
-All matrices live on one shared sparsity pattern per mesh (node adjacency),
-built once and cached, so a scheme assembly is a handful of vectorized
-element computations followed by a fixed-order scatter-add.  Entries whose
-integrands are polynomial are integrated in closed form; source terms use a
-degree-2 simplex quadrature rule unless the caller passes another order.
+Matrices live on one sparsity pattern per mesh (node adjacency), built once
+and cached, and are assembled by vectorized element kernels and a fixed-order
+scatter-add; eafe is assembled per edge, on that pattern pruned of zero-weight
+edges.  Polynomial integrands are integrated in closed form; source terms use
+a degree-2 simplex quadrature rule unless the caller passes another order.
 
 The three concentration operators share one entry point, ``assemble_np``,
 and the contract
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SparseMatrix
-from .mesh import LOCAL_EDGES, BoxMesh
+from .mesh import BoxMesh
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -82,9 +82,9 @@ class _Workspace:
         "pattern",
         "slots",
         "diag_slots",
-        "bdry_entry_mask",
         "stiffness_data",
         "lumped",
+        "_edges",
     )
 
     def __init__(self, mesh: BoxMesh):
@@ -103,7 +103,6 @@ class _Workspace:
         self.diag_slots = np.searchsorted(unique_keys, diag_keys)
         if not np.array_equal(unique_keys[self.diag_slots], diag_keys):
             raise AssertionError("mesh has nodes that belong to no element")
-        self.bdry_entry_mask = mesh.boundary[self.pattern.rows()]
 
         geo = mesh.geometry
         gl = geo.grad_lambda
@@ -114,6 +113,7 @@ class _Workspace:
             weights=np.repeat(geo.volumes, 4),
             minlength=n,
         )
+        self._edges = None  # the eafe _EdgeTable, built on first use
 
     def _scatter(self, local_vals) -> np.ndarray:
         return np.bincount(
@@ -122,8 +122,49 @@ class _Workspace:
             minlength=self.pattern.nnz,
         )
 
-    def matrix(self, data) -> SparseMatrix:
-        return self.pattern.with_data(data)
+
+class _EdgeTable:
+    """Mesh edges of nonzero weight and their slots in the pruned pattern.
+
+    An edge's weight, the sum of omega = -vol * grad_lambda_a . grad_lambda_b
+    over its tets, is minus its stiffness entry.  Edges of weight exactly zero
+    couple nothing in the eafe operator and are pruned; negative ones stay.
+    """
+
+    __slots__ = ("pattern", "a", "b", "weight", "slots", "diag_slots")
+
+    def __init__(self, ws: _Workspace):
+        full, rows = ws.pattern, ws.pattern.rows()
+        # (a, b) with a < b precedes (b, a) in CSR order, so the smaller slot
+        # of a local pair is the upper entry and the larger its transpose
+        iu, ju = np.triu_indices(4, 1)
+        s_ij, s_ji = ws.slots[:, iu, ju].ravel(), ws.slots[:, ju, iu].ravel()
+        transpose = np.empty(full.nnz, dtype=np.int64)
+        transpose[np.minimum(s_ij, s_ji)] = np.maximum(s_ij, s_ji)
+        upper = np.flatnonzero((rows < full.indices) & (ws.stiffness_data != 0.0))
+        keep = np.zeros(full.nnz, dtype=bool)
+        keep[np.concatenate((ws.diag_slots, upper, transpose[upper]))] = True
+        kept_before = np.concatenate(([0], np.cumsum(keep)))   # = new slot of a kept entry
+        self.pattern = SparseMatrix(full.n, kept_before[full.indptr], full.indices[keep],
+                                    np.zeros(kept_before[-1]), _checked=True)
+        self.a, self.b, self.weight = rows[upper], full.indices[upper], -ws.stiffness_data[upper]
+        self.diag_slots = kept_before[ws.diag_slots]
+        self.slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
+                                     self.diag_slots[self.a], self.diag_slots[self.b]))
+
+    def transport(self, phi: np.ndarray, c: float) -> np.ndarray:
+        """Entry (a, b) is -weight * B(c (phi_a - phi_b)); columns sum to zero.
+
+        B(-|t|) = B(|t|) + |t| saves the second Bernoulli evaluation and, unlike
+        B(t) - t, does not cancel: at t = -30 that would keep about 3 digits.
+        """
+        t = c * (phi[self.a] - phi[self.b])
+        b_pos = bernoulli(np.abs(t))
+        b_neg = b_pos + np.abs(t)
+        w_fwd = self.weight * np.where(t >= 0.0, b_pos, b_neg)   # weight * B(t)
+        w_bwd = self.weight * np.where(t >= 0.0, b_neg, b_pos)   # weight * B(-t)
+        vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
+        return np.bincount(self.slots, weights=vals, minlength=self.pattern.nnz)
 
 
 def _workspace(mesh: BoxMesh) -> _Workspace:
@@ -139,7 +180,7 @@ def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
     to pin constrained nodes.
     """
     ws = _workspace(mesh)
-    return ws.matrix(ws.stiffness_data.copy())
+    return ws.pattern.with_data(ws.stiffness_data.copy())
 
 
 def apply_dirichlet_rows(a: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
@@ -182,7 +223,7 @@ def assemble_convection(mesh: BoxMesh, phi: np.ndarray) -> SparseMatrix:
     gphi = np.einsum("mk,mkd->md", phi[mesh.tets], gl)
     rowvals = 0.25 * geo.volumes[:, None] * np.einsum("md,mid->mi", gphi, gl)
     local = np.broadcast_to(rowvals[:, :, None], (mesh.n_tets, 4, 4))
-    return ws.matrix(ws._scatter(local))
+    return ws.pattern.with_data(ws._scatter(local))
 
 
 def assemble_load(mesh: BoxMesh, g, t: float, order: int = 2) -> np.ndarray:
@@ -296,29 +337,6 @@ def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarr
     return np.bincount(mesh.tets.ravel(), weights=w.ravel(), minlength=mesh.n_nodes)
 
 
-def _eafe_local(mesh: BoxMesh, phi: np.ndarray, c_i: float) -> np.ndarray:
-    """Element matrices of the edge-averaged transport operator.
-
-    Off-diagonal entries are -omega * B(c_i(phi_nu - phi_mu)) on the edge
-    (nu, mu); diagonals are the negated column sums, so the transport part
-    has exactly zero column sums before boundary treatment and reduces
-    entrywise to the stiffness matrix at zero potential.
-    """
-    omega = mesh.geometry.omega
-    phi_loc = phi[mesh.tets]
-    vals = np.zeros((mesh.n_tets, 4, 4))
-    for e, (nu, mu) in enumerate(LOCAL_EDGES):
-        t_e = c_i * (phi_loc[:, nu] - phi_loc[:, mu])
-        w = omega[:, e]
-        b_fwd = w * bernoulli(t_e)
-        b_bwd = w * bernoulli(-t_e)
-        vals[:, nu, mu] -= b_fwd
-        vals[:, mu, nu] -= b_bwd
-        vals[:, nu, nu] += b_bwd
-        vals[:, mu, mu] += b_fwd
-    return vals
-
-
 def assemble_np(
     mesh: BoxMesh,
     phi: np.ndarray,
@@ -332,19 +350,22 @@ def assemble_np(
     With c = ``cfg.drift[species]`` the transport is A_L + c C(phi) (fem),
     the same plus the residual-based element terms (supg; the operators of
     its source and previous-level parts are returned for the stepper), or
-    the edge-averaged operator of ``_eafe_local`` (eafe).  The mass stays
-    lumped: the positive off-diagonal entries of a consistent mass would
-    break the column M-matrix property of the eafe matrix.
+    the edge-averaged operator (eafe, per edge on the pruned pattern of
+    ``_EdgeTable``).  The mass stays lumped: positive off-diagonal entries
+    of a consistent mass would break the eafe column M-matrix property.
     """
     phi = _check_dof(mesh, phi, "phi")
     if not tau > 0:
         raise ValueError("tau must be positive")
     ws = _workspace(mesh)
     c_i = cfg.drift[species]
-    data = np.zeros(ws.pattern.nnz)
-    data[ws.diag_slots] = ws.lumped / 4.0
+    if cfg.scheme == "eafe" and ws._edges is None:
+        ws._edges = _EdgeTable(ws)
+    space = ws._edges if cfg.scheme == "eafe" else ws
+    data = np.zeros(space.pattern.nnz)
+    data[space.diag_slots] = ws.lumped / 4.0
     if cfg.scheme == "eafe":
-        data += tau * ws._scatter(_eafe_local(mesh, phi, c_i))
+        data += tau * space.transport(phi, c_i)
     else:
         data += tau * (ws.stiffness_data + c_i * assemble_convection(mesh, phi).data)
     stab = stab_w = None
@@ -353,8 +374,8 @@ def assemble_np(
         data += tau * ws._scatter(stream)
         s_data = ws._scatter(np.broadcast_to(svals[:, :, None], (mesh.n_tets, 4, 4)))
         data += s_data
-        stab = ws.matrix(s_data)
+        stab = ws.pattern.with_data(s_data)
     if apply_dirichlet:
-        data = np.where(ws.bdry_entry_mask, 0.0, data)
-        data[ws.diag_slots[mesh.boundary]] = 1.0
-    return AssembledNP(ws.matrix(data), stab, stab_w)
+        data = np.where(mesh.boundary[space.pattern.rows()], 0.0, data)
+        data[space.diag_slots[mesh.boundary]] = 1.0
+    return AssembledNP(space.pattern.with_data(data), stab, stab_w)

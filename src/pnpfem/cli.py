@@ -100,9 +100,6 @@ class RunConfig:
 
 def _parse_scalar(raw: str):
     raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(raw)
     except ValueError:

@@ -11,7 +11,7 @@ small systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,8 +326,8 @@ class MMatrixReport:
     offdiag_sign_ok: bool
     column_weak_dominance_ok: bool
     strict_column_exists: bool
-    violations: list[tuple[int, int, float]] = field(default_factory=list)
-    column_violations: list[tuple[int, float]] = field(default_factory=list)
+    violations: np.ndarray  # (k, 3) float rows (row, column, value)
+    column_violations: np.ndarray  # (k, 2) float rows (column, column sum)
     tol: float = 0.0
 
     @property
@@ -351,25 +351,22 @@ def column_mmatrix_check(a: SparseMatrix, rel_tol: float = 1e-12) -> MMatrixRepo
 
     rows = a.rows()
     on_diag = rows == a.indices
-    violations = []
-
     off_bad = np.flatnonzero(~on_diag & (a.data > tol))
-    for k in off_bad:
-        violations.append((int(rows[k]), int(a.indices[k]), float(a.data[k])))
-    offdiag_sign_ok = off_bad.size == 0
 
-    diag = np.zeros(a.n)
-    diag[a.indices[on_diag]] = a.data[on_diag]
+    diag = a.diagonal()
     diag_bad = np.flatnonzero(diag <= tol)
-    for k in diag_bad:
-        violations.append((int(k), int(k), float(diag[k])))
+    violations = np.column_stack((
+        np.concatenate((rows[off_bad], diag_bad)),
+        np.concatenate((a.indices[off_bad], diag_bad)),
+        np.concatenate((a.data[off_bad], diag[diag_bad])),
+    ))
 
     colsum = a.column_sums()
     col_bad = np.flatnonzero(colsum < -tol)
-    column_violations = [(int(j), float(colsum[j])) for j in col_bad]
+    column_violations = np.column_stack((col_bad, colsum[col_bad]))
 
     return MMatrixReport(
-        offdiag_sign_ok=offdiag_sign_ok,
+        offdiag_sign_ok=off_bad.size == 0,
         column_weak_dominance_ok=diag_bad.size == 0 and col_bad.size == 0,
         strict_column_exists=bool(np.any(colsum > tol)),
         violations=violations,

@@ -7,11 +7,14 @@ barycentric coordinates come from solving the 4x4 vertex system per element,
 and edge averages of exponentials come from 64-point Gauss on the edge.
 Dense matrices, Python loops over elements; meant for meshes with at most a
 few hundred nodes.  ``csr_from_dense`` is the one bridge back into the
-package's CSR type, for tests that hand-build small sparse matrices.
+package's CSR type, for tests that hand-build small sparse matrices, and
+``eafe_per_tet`` keeps the package's former per-tet eafe kernel (it uses the
+package's ``bernoulli``) as a reference for the per-edge assembly.
 """
 
 import numpy as np
 
+from pnpfem.assembly import bernoulli
 from pnpfem.linalg import SparseMatrix
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -134,6 +137,30 @@ def oracle_eafe_transport(mesh, phi, c, q_edge: int = 64):
             a[tet[mu], tet[nu]] -= omega * alpha * np.exp(ea)
             a[tet[nu], tet[nu]] += omega * alpha * np.exp(ea)
             a[tet[mu], tet[mu]] += omega * alpha * np.exp(eb)
+    return a
+
+
+def eafe_per_tet(mesh, phi, c):
+    """Edge-averaged transport assembled tet by tet, as a dense matrix.
+
+    The element-matrix kernel that the per-edge assembly replaced, kept as a
+    near-bitwise reference: B is evaluated twice for each of the six local
+    edges of every tet and the element matrices are summed in tet order.
+    """
+    omega = mesh.geometry.omega
+    phi_loc = phi[mesh.tets]
+    vals = np.zeros((mesh.n_tets, 4, 4))
+    for e, (nu, mu) in enumerate(LOCAL_EDGES):
+        t_e = c * (phi_loc[:, nu] - phi_loc[:, mu])
+        w = omega[:, e]
+        b_fwd = w * bernoulli(t_e)
+        b_bwd = w * bernoulli(-t_e)
+        vals[:, nu, mu] -= b_fwd
+        vals[:, mu, nu] -= b_bwd
+        vals[:, nu, nu] += b_bwd
+        vals[:, mu, mu] += b_fwd
+    a = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    np.add.at(a, (mesh.tets[:, :, None], mesh.tets[:, None, :]), vals)
     return a
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pnpfem import assembly
 from pnpfem.assembly import (
     SchemeConfig,
     apply_dirichlet_rows,
@@ -19,7 +20,7 @@ from pnpfem.assembly import (
     stab_source_vector,
 )
 from pnpfem.linalg import SparseMatrix
-from pnpfem.mesh import BoxMesh, build_box_mesh
+from pnpfem.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
 
@@ -396,6 +397,87 @@ def test_eafe_entries_match_edge_quadrature():
         mesh, phi, c
     )
     assert np.abs(sys_.matrix.to_dense() - expect).max() < 1e-10
+
+
+def jittered_box(n=3, seed=0, amplitude=0.2):
+    """Box mesh whose interior nodes are moved by up to amplitude * h per axis."""
+    base = build_box_mesh(n)
+    nodes = base.nodes.copy()
+    inner = ~base.boundary
+    rng = np.random.default_rng(seed)
+    nodes[inner] += rng.uniform(-amplitude, amplitude, (inner.sum(), 3)) / n
+    return BoxMesh.from_cells(nodes, base.tets, base.boundary)
+
+
+def summed_edge_weights(mesh):
+    """{(a, b): sum of omega over the tets holding edge a < b}, tet by tet."""
+    weights = {}
+    for tet, omega in zip(mesh.tets, mesh.geometry.omega):
+        for (nu, mu), w in zip(LOCAL_EDGES, omega):
+            key = tuple(sorted((int(tet[nu]), int(tet[mu]))))
+            weights[key] = weights.get(key, 0.0) + float(w)
+    return weights
+
+
+def test_jittered_box_has_negative_and_zero_edge_weights():
+    weights = summed_edge_weights(jittered_box()).values()
+    assert any(w < 0.0 for w in weights)
+    assert any(w == 0.0 for w in weights)
+
+
+@pytest.mark.parametrize("c", [0.7, 40.0])
+def test_eafe_edge_assembly_matches_per_tet_kernel(c):
+    mesh = jittered_box()
+    phi = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
+    tau = 0.02
+    ours = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
+    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * oracles.eafe_per_tet(mesh, phi, c)
+    assert np.abs(ours.matrix.to_dense() - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
+    mesh = jittered_box()
+    phi = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
+    tau, c = 0.02, 0.7
+    ours = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
+    expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
+        mesh, phi, c
+    )
+    assert np.abs(ours.matrix.to_dense() - expect).max() < 1e-10
+
+
+def test_eafe_pattern_drops_exactly_the_zero_weight_edges():
+    mesh = jittered_box()
+    a = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.7), 0, 0.02).matrix
+    stored = set(zip(a.rows().tolist(), a.indices.tolist()))
+    weights = summed_edge_weights(mesh)
+    for (i, j), w in weights.items():
+        assert ((i, j) in stored) == (w != 0.0) == ((j, i) in stored)
+    assert all((k, k) in stored for k in range(mesh.n_nodes))
+    assert a.nnz == mesh.n_nodes + 2 * sum(w != 0.0 for w in weights.values())
+
+
+def test_eafe_one_bernoulli_call_per_assembly(monkeypatch):
+    mesh = jittered_box()
+    kept = sum(w != 0.0 for w in summed_edge_weights(mesh).values())
+    sizes = []
+
+    def counting(t):
+        sizes.append(np.size(t))
+        return bernoulli(t)
+
+    monkeypatch.setattr(assembly, "bernoulli", counting)
+    phi = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_nodes)
+    for species in (0, 1):
+        assemble_np(mesh, phi, np_cfg("eafe", 0.7), species, 0.02)
+    assert sizes == [kept, kept]
+
+
+@pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 30.0, 700.0, 750.0])
+def test_bernoulli_reflection_identity(x):
+    # the eafe assembly derives B(-|t|) from B(|t|) + |t|
+    expect = bernoulli(-x)
+    assert abs(bernoulli(x) + x - expect) <= 4 * np.spacing(expect)
 
 
 # --------------------------------------------------- oracle equivalence (all)

@@ -48,8 +48,19 @@ def test_config_file_parsing(tmp_path):
         "n": 4,
         "T": 0.05,
         "sizes": (4, 8),
-        "deterministic": True,
+        "deterministic": "true",
     }
+
+
+def test_config_file_bool_value_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("n = true\n")
+    code = main(["mesh", "--config", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "mesh.txt").exists()
 
 
 def test_config_file_rejects_garbage(tmp_path):
