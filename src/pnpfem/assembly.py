@@ -3,8 +3,8 @@
 Matrices live on one sparsity pattern per mesh (node adjacency), built once
 and cached, and are assembled by vectorized element kernels and a fixed-order
 scatter-add; eafe is assembled per edge, on that pattern pruned of zero-weight
-edges.  Polynomial integrands are integrated in closed form; source terms use
-a degree-2 simplex quadrature rule unless the caller passes another order.
+edges.  Polynomial integrands are integrated in closed form; other fields
+are integrated from values the caller samples at ``quadrature_points``.
 
 The three concentration operators share one entry point, ``assemble_np``,
 and the contract
@@ -34,6 +34,7 @@ __all__ = [
     "apply_dirichlet_rows",
     "lumped_volumes",
     "assemble_convection",
+    "quadrature_points",
     "assemble_load",
     "element_integrals",
     "bernoulli",
@@ -226,26 +227,40 @@ def assemble_convection(mesh: BoxMesh, phi: np.ndarray) -> SparseMatrix:
     return ws.pattern.with_data(ws._scatter(local))
 
 
-def assemble_load(mesh: BoxMesh, g, t: float, order: int = 2) -> np.ndarray:
-    """Load vector with components (g(., t), psi_k)."""
-    pts, wts, gvals, vol = _eval_on_elements(mesh, g, t, order)
-    bary = pts  # (Q, 4)
-    local = vol[:, None] * (gvals @ (wts[:, None] * bary))  # (M, 4)
-    return np.bincount(mesh.tets.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
+def quadrature_points(mesh: BoxMesh, order: int = 2) -> np.ndarray:
+    """Points of the degree-``order`` rule, (M*Q, 3), element by element."""
+    pts, _ = rule_for_order(order)
+    return np.einsum("qk,mkd->mqd", pts, mesh.nodes[mesh.tets]).reshape(-1, 3)
 
 
-def element_integrals(mesh: BoxMesh, g, t: float, order: int = 2) -> np.ndarray:
-    """Per-element integrals of a scalar field."""
-    _, wts, gvals, vol = _eval_on_elements(mesh, g, t, order)
-    return vol * (gvals @ wts)
-
-
-def _eval_on_elements(mesh: BoxMesh, g, t: float, order: int):
+def _per_element(mesh: BoxMesh, values, order: int):
+    """The rule and ``values`` (..., M*Q) reshaped to (..., M, Q)."""
     pts, wts = rule_for_order(order)
-    corners = mesh.nodes[mesh.tets]                      # (M, 4, 3)
-    phys = np.einsum("qk,mkd->mqd", pts, corners)        # (M, Q, 3)
-    gvals = np.asarray(g(phys.reshape(-1, 3), t), dtype=float).reshape(phys.shape[:2])
-    return pts, wts, gvals, mesh.geometry.volumes
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (mesh.n_tets * wts.size,):
+        raise ValueError(f"values must end in M*Q = {mesh.n_tets * wts.size}, got {values.shape}")
+    return pts, wts, values.reshape(*values.shape[:-1], mesh.n_tets, wts.size)
+
+
+def assemble_load(mesh: BoxMesh, values, order: int = 2) -> np.ndarray:
+    """Load vectors with components (g, psi_k), (..., M*Q) -> (..., N).
+
+    ``values`` samples g at ``quadrature_points(mesh, order)``; leading axes
+    stack fields and each is assembled exactly as it would be on its own.
+    """
+    bary, wts, gvals = _per_element(mesh, values, order)
+    local = mesh.geometry.volumes[:, None] * (gvals @ (wts[:, None] * bary))  # (..., M, 4)
+    loads = [
+        np.bincount(mesh.tets.ravel(), weights=row, minlength=mesh.n_nodes)
+        for row in local.reshape(-1, mesh.n_tets * 4)
+    ]
+    return np.reshape(loads, (*gvals.shape[:-2], mesh.n_nodes))
+
+
+def element_integrals(mesh: BoxMesh, values, order: int = 2) -> np.ndarray:
+    """Per-element integrals of sampled fields, (..., M*Q) -> (..., M)."""
+    _, wts, gvals = _per_element(mesh, values, order)
+    return mesh.geometry.volumes * (gvals @ wts)
 
 
 def bernoulli(t):

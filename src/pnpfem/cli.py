@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,6 +48,13 @@ class ConfigError(ValueError):
     """Invalid configuration (bad flag value, config file entry, ...)."""
 
 
+# numeric RunConfig keys and the type of their value (or of each of its items)
+_NUMBER_KEYS = {
+    "n": Integral, "max_iter": Integral, "sizes": Integral,
+    "T": Real, "epsilon": Real, "supg_scale": Real, "multipliers": Real,
+}
+
+
 @dataclass
 class RunConfig:
     """One study cell: scheme, resolution, step rule and solver settings."""
@@ -65,20 +73,18 @@ class RunConfig:
     def validate(self):
         if self.scheme not in ("fem", "supg", "eafe"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if not self.T > 0:
-            raise ConfigError("T must be positive")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        if not self.supg_scale > 0:
-            raise ConfigError("supg_scale must be positive")
-        if any(s < 1 for s in self.sizes):
-            raise ConfigError("mesh sizes must be positive integers")
-        if any(not m > 0 for m in self.multipliers):
-            raise ConfigError("tau multipliers must be positive")
+        for key, kind in _NUMBER_KEYS.items():
+            value = getattr(self, key)
+            items = value if key in ("sizes", "multipliers") else (value,)
+            if not isinstance(items, (tuple, list)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool)
+                and (kind is Integral or math.isfinite(v))
+                for v in items
+            ):
+                what = "integer" if kind is Integral else "finite real number"
+                raise ConfigError(f"{key}: expected {what} values, got {value!r}")
+            if not all(v > 0 for v in items):
+                raise ConfigError(f"{key} must be positive, got {value!r}")
         self.resolve_tau(self.n)
 
     def resolve_tau(self, n: int) -> float:
@@ -124,6 +130,8 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key in ("sizes", "multipliers"):
                 values[key] = tuple(_parse_scalar(v) for v in raw.split(","))
+            elif key in ("scheme", "tau_rule", "out"):
+                values[key] = raw.strip()
             else:
                 values[key] = _parse_scalar(raw)
     return values

@@ -276,7 +276,7 @@ def contraction_stats(reports) -> ContractionSummary:
         raise ValueError("need at least one report")
     per_step = np.array([r.alpha_bar for r in reports])
     valid = per_step[~np.isnan(per_step)]
-    all_ratios = np.concatenate([r.ratios for r in reports]) if reports else np.array([])
+    all_ratios = np.concatenate([r.ratios for r in reports])
     return ContractionSummary(
         alpha_bar=float(valid.mean()) if valid.size else float("nan"),
         per_step=per_step,

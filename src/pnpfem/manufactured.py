@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import SchemeConfig
+from .assembly import SchemeConfig, quadrature_points
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -137,12 +137,9 @@ def error_norms(mesh, dofs, field: str, t: float, order: int = 5):
     if dofs.shape != (mesh.n_nodes,):
         raise ValueError("dof vector does not match the mesh")
     pts, wts = rule_for_order(order)
-    corners = mesh.nodes[mesh.tets]
-    phys = np.einsum("qk,mkd->mqd", pts, corners)
-    flat = phys.reshape(-1, 3)
-    exact_val, exact_grad, _ = exact_eval(field, flat, t)
-    exact_val = exact_val.reshape(phys.shape[:2])
-    exact_grad = exact_grad.reshape(phys.shape[0], phys.shape[1], 3)
+    exact_val, exact_grad, _ = exact_eval(field, quadrature_points(mesh, order), t)
+    exact_val = exact_val.reshape(mesh.n_tets, wts.size)
+    exact_grad = exact_grad.reshape(mesh.n_tets, wts.size, 3)
 
     local = dofs[mesh.tets]                                    # (M, 4)
     uh = local @ pts.T                                         # (M, Q)
@@ -171,21 +168,18 @@ def transient_problem(T: float, tau: float, **overrides):
     """TransientConfig wired to the benchmark's data.
 
     Boundary data comes from the exact traces, sources from the derived
-    right-hand sides and both carriers start at zero.
+    right-hand sides and both carriers start at zero.  The lambdas look up
+    ``exact_eval`` and ``source_terms`` when called, so a wrapper installed
+    on this module's attributes sees every evaluation.
     """
     from .timestepper import TransientConfig
 
     kwargs = dict(
         T=T,
         tau=tau,
-        initial_p1=lambda pts: np.zeros(len(pts)),
-        initial_p2=lambda pts: np.zeros(len(pts)),
-        g_u=lambda pts, t: exact_eval("u", pts, t)[0],
-        g_p1=lambda pts, t: exact_eval("p", pts, t)[0],
-        g_p2=lambda pts, t: exact_eval("n", pts, t)[0],
-        f=lambda pts, t: source_terms(pts, t)[0],
-        F1=lambda pts, t: source_terms(pts, t)[1],
-        F2=lambda pts, t: source_terms(pts, t)[2],
+        initial=lambda pts: (np.zeros(len(pts)), np.zeros(len(pts))),
+        boundary=lambda pts, t: tuple(exact_eval(name, pts, t)[0] for name in FIELDS),
+        sources=lambda pts, t: source_terms(pts, t),
     )
     kwargs.update(overrides)
     return TransientConfig(**kwargs)

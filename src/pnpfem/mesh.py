@@ -20,7 +20,7 @@ instead of assuming anything about the mesh.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,7 +230,7 @@ class MeshQualityReport:
     nonnegative: bool
     tet_has_positive_edge: bool
     per_tet_positive: np.ndarray
-    violations: list[tuple[int, int, float]] = field(default_factory=list)
+    violations: np.ndarray  # (k, 3) float rows (tet, edge, weight)
 
     @property
     def weak_condition(self) -> bool:
@@ -241,9 +241,9 @@ class MeshQualityReport:
 def mesh_quality_report(mesh: BoxMesh, zero_tol: float | None = None) -> MeshQualityReport:
     """Classify every (tet, edge) weight as positive, zero or negative.
 
-    ``violations`` lists the pairs that break the strict positivity
-    condition, i.e. weights <= zero_tol.  Raises ``DegenerateTetError`` for
-    inverted elements.
+    ``violations`` holds one row (tet, edge, weight) per pair that breaks
+    the strict positivity condition, i.e. weight <= zero_tol.  Raises
+    ``DegenerateTetError`` for inverted elements.
     """
     omega = mesh.geometry.omega
     if zero_tol is None:
@@ -253,11 +253,8 @@ def mesh_quality_report(mesh: BoxMesh, zero_tol: float | None = None) -> MeshQua
     negative = omega < -zero_tol
     per_tet_positive = positive.sum(axis=1)
 
-    bad = ~positive
-    tet_idx, edge_idx = np.nonzero(bad)
-    violations = [
-        (int(t), int(e), float(omega[t, e])) for t, e in zip(tet_idx, edge_idx)
-    ]
+    tet_idx, edge_idx = np.nonzero(~positive)
+    violations = np.column_stack((tet_idx, edge_idx, omega[tet_idx, edge_idx]))
     return MeshQualityReport(
         n_tets=mesh.n_tets,
         zero_tol=zero_tol,

@@ -1,7 +1,8 @@
 """Implicit (backward-Euler) transient driver with positivity diagnostics.
 
-Every step freezes the time level, builds the loads and boundary data at the
-new time, forms the concentration right-hand sides
+Every step freezes the time level, evaluates the data once at the new time
+(one ``sources`` and one ``boundary`` call), assembles the three loads from
+those values, forms the concentration right-hand sides
 
     F = tau * load + mass * previous_concentrations
 
@@ -40,29 +41,25 @@ __all__ = [
     "write_history",
 ]
 
-FieldFn = Callable[[np.ndarray, float], np.ndarray]
-
 
 @dataclass
 class TransientConfig:
-    """Time horizon, step size and the problem data as callables.
+    """Time horizon, step size and the problem data, one callable per kind.
 
-    Source and boundary callables take (points, t) with points of shape
-    (Q, 3) and return (Q,) values; initial-concentration callables take the
-    points only.  The starting potential is obtained from a potential solve
-    against the initial concentrations.
+    ``initial(points)`` returns the starting concentrations (p1, p2),
+    ``boundary(points, t)`` the Dirichlet data (u, p1, p2) and
+    ``sources(points, t)`` the right-hand sides (f, F1, F2), each field of
+    shape (Q,) for points (Q, 3): the nodes, the boundary nodes and
+    ``assembly.quadrature_points``.  ``run_transient`` calls ``boundary``
+    and ``sources`` once at t = 0 and once per step, and starts the
+    potential from a solve against the initial concentrations.
     """
 
     T: float
     tau: float
-    initial_p1: Callable[[np.ndarray], np.ndarray]
-    initial_p2: Callable[[np.ndarray], np.ndarray]
-    g_u: FieldFn
-    g_p1: FieldFn
-    g_p2: FieldFn
-    f: FieldFn
-    F1: FieldFn
-    F2: FieldFn
+    initial: Callable[[np.ndarray], tuple]
+    boundary: Callable[[np.ndarray, float], tuple]
+    sources: Callable[[np.ndarray, float], tuple]
     eps: float = 1e-6
     max_iter: int = 500
 
@@ -146,11 +143,10 @@ def bound_constants(f_vec, omega_volumes, g_next, c_floor):
     return c_j, c_k, tau_star
 
 
-def _boundary_values(mesh, fn: FieldFn, t: float) -> np.ndarray:
-    out = np.zeros(mesh.n_nodes)
-    mask = mesh.boundary
-    if mask.any():
-        out[mask] = np.asarray(fn(mesh.nodes[mask], t), dtype=float)
+def _boundary_values(mesh, boundary, t: float) -> np.ndarray:
+    """(u, p1, p2) data at time t on the boundary nodes, zero elsewhere: (3, N)."""
+    out = np.zeros((3, mesh.n_nodes))
+    out[:, mesh.boundary] = np.asarray(boundary(mesh.nodes[mesh.boundary], t), dtype=float)
     return out
 
 
@@ -169,11 +165,12 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     omega_vol = assembly.lumped_volumes(mesh)
     mass = omega_vol / 4.0
 
-    p1 = np.asarray(tc.initial_p1(mesh.nodes), dtype=float)
-    p2 = np.asarray(tc.initial_p2(mesh.nodes), dtype=float)
+    points = assembly.quadrature_points(mesh)
+    p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
+    bc = _boundary_values(mesh, tc.boundary, 0.0)
     phi = solve_potential(
-        mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.f, 0.0), mass,
-        _boundary_values(mesh, tc.g_u, 0.0), (p1, p2), np.zeros(mesh.n_nodes),
+        mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]), mass,
+        bc[0], (p1, p2), np.zeros(mesh.n_nodes),
     )
     state = State(phi, p1, p2, 0.0)
 
@@ -182,39 +179,23 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     for step in range(tc.n_steps):
         t_next = min((step + 1) * tc.tau, tc.T)
         tau_n = t_next - t
-        g_phi = assembly.assemble_load(mesh, tc.f, t_next)
-        g1 = assembly.assemble_load(mesh, tc.F1, t_next)
-        g2 = assembly.assemble_load(mesh, tc.F2, t_next)
-        f_np = np.stack(
-            (
-                tau_n * g1 + mass * state.p1,
-                tau_n * g2 + mass * state.p2,
-            )
-        )
-        bc_p = np.stack(
-            (
-                _boundary_values(mesh, tc.g_p1, t_next),
-                _boundary_values(mesh, tc.g_p2, t_next),
-            )
-        )
+        sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
+        loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
+        f_np = tau_n * loads[1:] + mass * state.concentrations()
+        bc = _boundary_values(mesh, tc.boundary, t_next)
         source_elem = None
         if cfg.scheme == "supg":
-            source_elem = np.stack(
-                (
-                    assembly.element_integrals(mesh, tc.F1, t_next),
-                    assembly.element_integrals(mesh, tc.F2, t_next),
-                )
-            )
+            source_elem = assembly.element_integrals(mesh, sources[1:])
         problem = StepProblem(
             mesh=mesh,
             cfg=cfg,
             tau=tau_n,
             t_next=t_next,
             poisson_matrix=a_bc,
-            g_phi=g_phi,
-            bc_phi=_boundary_values(mesh, tc.g_u, t_next),
+            g_phi=loads[0],
+            bc_phi=bc[0],
             f_np=f_np,
-            bc_p=bc_p,
+            bc_p=bc[1:],
             p_level=state.concentrations(),
             mass=mass,
             source_elem_int=source_elem,
@@ -233,7 +214,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
         # refresh the potential against the accepted concentrations so the
         # stored state satisfies its own potential equation
         new_state.phi = solve_potential(
-            mesh, cfg, a_bc, g_phi, mass, problem.bc_phi,
+            mesh, cfg, a_bc, problem.g_phi, mass, problem.bc_phi,
             (new_state.p1, new_state.p2), new_state.phi,
         )
 
@@ -241,7 +222,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             result.diagnostics.append(
                 _diagnose(
                     mesh, cfg, step, t_next, tau_n, state, new_state,
-                    f_np, g1, g2, omega_vol, interior,
+                    f_np, loads[1:], omega_vol, interior,
                 )
             )
         state = new_state
@@ -252,10 +233,10 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
 
 def _diagnose(
-    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g1, g2, omega_vol, interior
+    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g_np, omega_vol, interior
 ) -> DiagnosticsRecord:
-    f_int = np.concatenate((f_np[0][interior], f_np[1][interior]))
-    g_int = np.concatenate((g1[interior], g2[interior]))
+    f_int = f_np[:, interior].ravel()
+    g_int = g_np[:, interior].ravel()
     floor = min(
         float(old_state.p1[interior].min()), float(old_state.p2[interior].min())
     )

@@ -242,7 +242,7 @@ def test_criterion_6_positivity_scenario():
     quality = mesh_quality_report(mesh)
     assert quality.nonnegative and quality.tet_has_positive_edge
     interior = ~mesh.boundary
-    zero = lambda pts, t: np.zeros(len(pts))
+    zero = lambda pts, t: np.zeros((3, len(pts)))
     rng = np.random.default_rng(99)
     tau = 1e-3
     ok = True
@@ -251,9 +251,8 @@ def test_criterion_6_positivity_scenario():
         vals = rng.uniform(0.25, 2.0, (2, mesh.n_nodes))
         tc = TransientConfig(
             T=50 * tau, tau=tau,
-            initial_p1=lambda pts, v=vals[0]: v,
-            initial_p2=lambda pts, v=vals[1]: v,
-            g_u=zero, g_p1=zero, g_p2=zero, f=zero, F1=zero, F2=zero,
+            initial=lambda pts, v=vals: v,
+            boundary=zero, sources=zero,
         )
         result = run_transient(mesh, scheme_config("eafe"), tc)
         assert len(result.reports) == 50

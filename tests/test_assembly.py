@@ -17,6 +17,7 @@ from pnpfem.assembly import (
     edge_harmonic_average,
     element_integrals,
     lumped_volumes,
+    quadrature_points,
     stab_source_vector,
 )
 from pnpfem.linalg import SparseMatrix
@@ -164,19 +165,19 @@ def test_convection_dimension_mismatch():
 
 def test_load_constant_gives_lumped_volumes():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
-    g = assemble_load(mesh, lambda pts, t: np.ones(len(pts)), 0.0)
+    g = assemble_load(mesh, np.ones(len(quadrature_points(mesh))))
     assert np.abs(g - lumped_volumes(mesh) / 4.0).max() < 1e-14
 
 
 def test_load_zero():
     mesh = build_box_mesh(1)
-    g = assemble_load(mesh, lambda pts, t: np.zeros(len(pts)), 0.0)
+    g = assemble_load(mesh, np.zeros(len(quadrature_points(mesh))))
     assert np.all(g == 0.0)
 
 
 def test_load_linear_on_reference_tet():
     mesh = reference_tet_mesh()
-    g = assemble_load(mesh, lambda pts, t: pts[:, 0], 0.0)
+    g = assemble_load(mesh, quadrature_points(mesh)[:, 0])
     # closed forms: int_K x lambda_k = vol/20 for the two vertices off the
     # x-axis, vol/10 for the vertex at x=1, and vol/20 for the origin vertex
     vol = 1.0 / 6.0
@@ -190,16 +191,44 @@ def test_load_matches_oracle_high_order():
     def g(pts, t):
         return np.sin(pts[:, 0] + 2 * pts[:, 1]) * np.cos(pts[:, 2] - t)
 
-    ours = assemble_load(mesh, g, 0.3, order=8)
+    ours = assemble_load(mesh, g(quadrature_points(mesh, 8), 0.3), order=8)
     # transcendental integrand: both rules truncate, agreement ~ rule error
     assert np.abs(ours - oracles.oracle_load(mesh, g, 0.3)).max() < 1e-9
 
 
 def test_element_integrals_sum_to_domain_integral():
     mesh = build_box_mesh(2, (0, 0, 0), (1, 1, 1))
-    vals = element_integrals(mesh, lambda pts, t: np.ones(len(pts)), 0.0)
+    vals = element_integrals(mesh, np.ones(len(quadrature_points(mesh))))
     assert vals.sum() == pytest.approx(1.0, rel=1e-13)
     assert np.abs(vals - mesh.geometry.volumes).max() < 1e-15
+
+
+@pytest.mark.parametrize("order", [2, 8])
+def test_stacked_fields_integrate_as_single_fields(order):
+    mesh = build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3)
+    pts = quadrature_points(mesh, order)
+    assert pts.shape == (mesh.n_tets * rule_for_order(order)[1].size, 3)
+    fields = np.stack((np.sin(3 * pts[:, 0]), pts[:, 1] * pts[:, 2], np.exp(pts[:, 2])))
+    loads = assemble_load(mesh, fields, order)
+    integrals = element_integrals(mesh, fields, order)
+    assert loads.shape == (3, mesh.n_nodes)
+    assert integrals.shape == (3, mesh.n_tets)
+    for i in range(3):
+        assert np.array_equal(loads[i], assemble_load(mesh, fields[i], order))
+        assert np.array_equal(integrals[i], element_integrals(mesh, fields[i], order))
+
+
+def test_sampled_values_must_match_the_quadrature_points():
+    mesh = build_box_mesh(2)
+    size = len(quadrature_points(mesh))
+    for bad in (np.ones(size - 1), np.ones((3, size + 4)), np.ones((mesh.n_tets, 4)), 1.0):
+        with pytest.raises(ValueError, match="M\\*Q"):
+            assemble_load(mesh, bad)
+        with pytest.raises(ValueError, match="M\\*Q"):
+            element_integrals(mesh, bad)
+    # the order-8 points do not fit the default degree-2 rule
+    with pytest.raises(ValueError):
+        assemble_load(mesh, np.ones(len(quadrature_points(mesh, 8))))
 
 
 # ----------------------------------------------------------- bernoulli & co.

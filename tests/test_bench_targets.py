@@ -2,11 +2,13 @@
 
 ``bench/tracing.py`` replaces each ``(module, name)`` in ``TARGETS`` by a
 timing wrapper.  A name that the package stops importing would otherwise
-only show when the benchmark is run.
+only show when the benchmark is run, and so would a data path the
+wrappers no longer see.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -28,3 +30,21 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert not missing, f"names the tracer wraps but the package lacks: {missing}"
+
+
+def test_tracer_sees_one_data_evaluation_per_level():
+    from pnpfem.manufactured import scheme_config, transient_problem
+    from pnpfem.mesh import build_box_mesh
+    from pnpfem.timestepper import run_transient
+
+    tracing = load_tracing()
+    mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = run_transient(mesh, scheme_config("supg"), transient_problem(T=0.02, tau=0.01))
+    assert tracing.installed_wrappers() == []
+    assert len(result.reports) == 2
+    spans = Counter(s.name for s in tracer.spans)
+    # t = 0 and two steps: one source evaluation and one load call per level,
+    # one element-integral call per step
+    assert (spans["source_terms"], spans["assemble_load"], spans["element_integrals"]) == (3, 3, 2)

@@ -63,6 +63,37 @@ def test_config_file_bool_value_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "mesh.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("n = 4.5", "n"),
+        ("T = abc", "T"),
+        ("T = inf", "T"),
+        ("epsilon = x", "epsilon"),
+        ("max_iter = 2.0", "max_iter"),
+        ("supg_scale = yes", "supg_scale"),
+        ("sizes = 4, 8.5", "sizes"),
+        ("multipliers = 1, x", "multipliers"),
+    ],
+)
+def test_config_file_wrong_type_is_a_config_error(tmp_path, capsys, line, key):
+    p = tmp_path / "run.cfg"
+    p.write_text(line + "\n")
+    code = main(["mesh", "--config", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: {key}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "mesh.txt").exists()
+
+
+def test_config_file_numeric_tau_rule(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("tau_rule = 0.01\nn = 2\nT = 0.02\n")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 0
+    assert len(read(tmp_path / "history.csv").strip().split("\n")) == 1 + 2 + 1
+
+
 def test_config_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("this is not a key value line\n")

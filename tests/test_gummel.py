@@ -23,34 +23,26 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
     a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
     ov = assembly.lumped_volumes(mesh)
 
-    def bvals(fn, t):
-        out = np.zeros(mesh.n_nodes)
-        out[bmask] = fn(mesh.nodes[bmask], t)
-        return out
-
-    g1 = assembly.assemble_load(mesh, tc.F1, t_next)
-    g2 = assembly.assemble_load(mesh, tc.F2, t_next)
+    bc = np.zeros((3, mesh.n_nodes))
+    bc[:, bmask] = tc.boundary(mesh.nodes[bmask], t_next)
+    sources = np.asarray(tc.sources(assembly.quadrature_points(mesh), t_next))
+    g_phi, g1, g2 = assembly.assemble_load(mesh, sources)
     f_np = np.stack(
         (tau * g1 + ov / 4.0 * prev.p1, tau * g2 + ov / 4.0 * prev.p2)
     )
     source_elem = None
     if scfg.scheme == "supg":
-        source_elem = np.stack(
-            (
-                assembly.element_integrals(mesh, tc.F1, t_next),
-                assembly.element_integrals(mesh, tc.F2, t_next),
-            )
-        )
+        source_elem = assembly.element_integrals(mesh, sources[1:])
     return StepProblem(
         mesh=mesh,
         cfg=scfg,
         tau=tau,
         t_next=t_next,
         poisson_matrix=a_bc,
-        g_phi=assembly.assemble_load(mesh, tc.f, t_next),
-        bc_phi=bvals(tc.g_u, t_next),
+        g_phi=g_phi,
+        bc_phi=bc[0],
         f_np=f_np,
-        bc_p=np.stack((bvals(tc.g_p1, t_next), bvals(tc.g_p2, t_next))),
+        bc_p=bc[1:],
         p_level=prev.concentrations(),
         mass=ov / 4.0,
         source_elem_int=source_elem,
@@ -58,13 +50,9 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
 
 
 def zero_problem(mesh, scfg, tau):
-    zero = lambda pts, t: np.zeros(len(pts))
-    zero0 = lambda pts: np.zeros(len(pts))
-    tc = transient_problem(
-        T=tau, tau=tau, f=zero, F1=zero, F2=zero,
-        g_u=zero, g_p1=zero, g_p2=zero,
-        initial_p1=zero0, initial_p2=zero0,
-    )
+    zero = lambda pts, t: np.zeros((3, len(pts)))
+    zero0 = lambda pts: np.zeros((2, len(pts)))
+    tc = transient_problem(T=tau, tau=tau, sources=zero, boundary=zero, initial=zero0)
     n = mesh.n_nodes
     prev = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     return build_problem(mesh, scfg, tc, prev, tau, tau), prev
@@ -113,7 +101,7 @@ def test_solve_potential_is_the_sweep_potential_solve():
         problem.bc_phi, (prev.p1, prev.p2), prev.phi,
     )
     # boundary rows hold the g_u data exactly
-    assert np.array_equal(phi[bmask], tc.g_u(mesh.nodes[bmask], 0.01))
+    assert np.array_equal(phi[bmask], tc.boundary(mesh.nodes[bmask], 0.01)[0])
     rhs = problem.g_phi.copy()
     for z, p_i in zip(scfg.charges, (prev.p1, prev.p2)):
         rhs += z * (problem.mass * p_i)
@@ -154,14 +142,12 @@ def test_iterates_match_dense_oracle_pipeline():
         for sweep in range(3):
             # reference sweep
             rhs = g_phi + charges[0] * lump * p_ref[0] + charges[1] * lump * p_ref[1]
-            rhs[bmask] = tc.g_u(mesh.nodes[bmask], t_next)
+            rhs[bmask] = tc.boundary(mesh.nodes[bmask], t_next)[0]
             phi_ref = np.linalg.solve(a_dense, rhs)
             for i, c_i in enumerate(drift):
                 mat = oracles.oracle_np_matrix(mesh, phi_ref, c_i, tau, scheme)
                 rhs_i = problem.f_np[i].copy()
-                rhs_i[bmask] = (tc.g_p1 if i == 0 else tc.g_p2)(
-                    mesh.nodes[bmask], t_next
-                )
+                rhs_i[bmask] = tc.boundary(mesh.nodes[bmask], t_next)[1 + i]
                 p_ref[i] = np.linalg.solve(mat, rhs_i)
             # production sweep
             state = gummel_step(problem, state)

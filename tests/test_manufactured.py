@@ -76,15 +76,16 @@ def test_boundary_traces_match_fields():
     mesh = build_box_mesh(3, *BOX)
     tc = transient_problem(T=0.25, tau=0.01)
     pts = mesh.nodes[mesh.boundary]
-    for fn, field in ((tc.g_u, "u"), (tc.g_p1, "p"), (tc.g_p2, "n")):
-        assert np.array_equal(fn(pts, 0.37), exact_eval(field, pts, 0.37)[0])
+    for values, field in zip(tc.boundary(pts, 0.37), ("u", "p", "n")):
+        assert np.array_equal(values, exact_eval(field, pts, 0.37)[0])
 
 
 def test_initial_concentrations_zero():
     tc = transient_problem(T=0.1, tau=0.01)
     pts = np.random.default_rng(2).uniform(-0.5, 0.5, (5, 3))
-    assert np.all(tc.initial_p1(pts) == 0.0)
-    assert np.all(tc.initial_p2(pts) == 0.0)
+    p1, p2 = tc.initial(pts)
+    assert np.all(p1 == 0.0)
+    assert np.all(p2 == 0.0)
 
 
 def test_error_norms_exact_on_linear_interpolant():
@@ -160,15 +161,18 @@ def test_sources_match_oracle_loads():
     # assembled source loads approach the quadrature oracle as the rule
     # order grows (the integrand is oscillatory, so no rule is exact)
     mesh = build_box_mesh(2, *BOX)
-    from pnpfem.assembly import assemble_load
+    from pnpfem.assembly import assemble_load, quadrature_points
 
     def f2(pts, t):
         return source_terms(pts, t)[1]
 
+    def load(order):
+        return assemble_load(mesh, f2(quadrature_points(mesh, order), 0.2), order)
+
     ref = oracles.oracle_load(mesh, f2, 0.2, q=10)
-    gap8 = np.abs(assemble_load(mesh, f2, 0.2, order=8) - ref).max()
-    gap13 = np.abs(assemble_load(mesh, f2, 0.2, order=13) - ref).max()
-    gap17 = np.abs(assemble_load(mesh, f2, 0.2, order=17) - ref).max()
+    gap8 = np.abs(load(8) - ref).max()
+    gap13 = np.abs(load(13) - ref).max()
+    gap17 = np.abs(load(17) - ref).max()
     assert gap8 < 2e-5
     assert gap13 < 1e-7 < gap8
     assert gap17 < 1e-9

@@ -97,8 +97,8 @@ def test_quality_kuhn_mesh_three_zero_weights():
     assert r.positive_fraction == pytest.approx(0.5)
     assert (r.per_tet_positive == 3).all()
     # violations are exactly the zero-weight (tet, edge) pairs
-    assert len(r.violations) == 3 * m.n_tets
-    assert all(abs(w) <= r.zero_tol for _, _, w in r.violations)
+    assert r.violations.shape == (3 * m.n_tets, 3)
+    assert (np.abs(r.violations[:, 2]) <= r.zero_tol).all()
 
 
 def test_quality_regular_tet_all_positive():
@@ -110,7 +110,7 @@ def test_quality_regular_tet_all_positive():
     r = mesh_quality_report(m)
     assert r.all_strictly_positive
     assert r.positive_fraction == 1.0
-    assert r.violations == []
+    assert r.violations.shape == (0, 3)
 
 
 def test_quality_stretched_box_reports_violations():
@@ -118,6 +118,10 @@ def test_quality_stretched_box_reports_violations():
     r = mesh_quality_report(m)
     assert not r.all_strictly_positive
     assert len(r.violations) > 0
+    omega = m.geometry.omega
+    expect = [[t, e, omega[t, e]] for t in range(m.n_tets) for e in range(6)
+              if not omega[t, e] > r.zero_tol]
+    assert r.violations.tolist() == expect
     # axis-aligned Kuhn cells never produce negative weights, only zeros
     assert r.nonnegative
 

@@ -18,21 +18,16 @@ from pnpfem.timestepper import (
 BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 
-def zero_fn(pts, t):
-    return np.zeros(len(pts))
+def zero_data(pts, t):
+    return np.zeros((3, len(pts)))
 
 
 def zero_init(pts):
-    return np.zeros(len(pts))
+    return np.zeros((2, len(pts)))
 
 
 def zero_config(T, tau, **kw):
-    kwargs = dict(
-        T=T, tau=tau,
-        initial_p1=zero_init, initial_p2=zero_init,
-        g_u=zero_fn, g_p1=zero_fn, g_p2=zero_fn,
-        f=zero_fn, F1=zero_fn, F2=zero_fn,
-    )
+    kwargs = dict(T=T, tau=tau, initial=zero_init, boundary=zero_data, sources=zero_data)
     kwargs.update(kw)
     return TransientConfig(**kwargs)
 
@@ -43,6 +38,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         zero_config(T=0.1, tau=0.0)
     assert zero_config(T=0.1, tau=0.024).n_steps == 5
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg"])
+def test_data_evaluated_once_per_time_level(scheme):
+    mesh = build_box_mesh(2, *BOX)
+    tc = transient_problem(T=0.03, tau=0.01)
+    calls = {"sources": [], "boundary": []}
+
+    def counted(name, fn):
+        def wrapper(pts, t):
+            calls[name].append(t)
+            return fn(pts, t)
+        return wrapper
+
+    tc.sources = counted("sources", tc.sources)
+    tc.boundary = counted("boundary", tc.boundary)
+    result = run_transient(mesh, scheme_config(scheme), tc)
+    levels = [0.0] + result.times
+    assert len(levels) == tc.n_steps + 1
+    assert calls["sources"] == levels
+    assert calls["boundary"] == levels
 
 
 def test_zero_data_run():
@@ -68,7 +84,7 @@ def test_f_vector_bookkeeping():
     tc = transient_problem(T=tau, tau=tau)
     rng = np.random.default_rng(0)
     p = rng.uniform(0.5, 1.0, mesh.n_nodes)
-    g = assembly.assemble_load(mesh, tc.F1, tau)
+    g = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), tau)[1])
     m = assembly.lumped_volumes(mesh) / 4.0
     f = tau * g + m * p
     # construction is a pure sum of the two products, bit for bit
@@ -85,9 +101,9 @@ def test_single_step_solves_np_system():
     result = run_transient(mesh, scfg, tc)
     state = result.state
     system = assembly.assemble_np(mesh, state.phi, scfg, 0, tau)
-    g1 = assembly.assemble_load(mesh, tc.F1, tau)
+    g1 = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), tau)[1])
     rhs = tau * g1  # previous concentrations are zero
-    rhs[mesh.boundary] = tc.g_p1(mesh.nodes[mesh.boundary], tau)
+    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary], tau)[1]
     res = np.linalg.norm(spmv(system.matrix, state.p1) - rhs)
     # the potential moved by <= eps after the last concentration solve, so
     # allow the corresponding slack on top of the linear solver tolerance
@@ -103,9 +119,9 @@ def test_discrete_poisson_consistency_each_step():
     a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), mesh.boundary)
     state = result.state
     m = assembly.lumped_volumes(mesh) / 4.0
-    rhs = assembly.assemble_load(mesh, tc.f, state.t)
+    rhs = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), state.t)[0])
     rhs += scfg.charges[0] * m * state.p1 + scfg.charges[1] * m * state.p2
-    rhs[mesh.boundary] = tc.g_u(mesh.nodes[mesh.boundary], state.t)
+    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary], state.t)[0]
     res = np.linalg.norm(spmv(a_bc, state.phi) - rhs)
     assert res <= scfg.linear_tol * np.linalg.norm(rhs)
 
@@ -172,13 +188,7 @@ def test_positivity_with_positive_initial_data():
     rng = np.random.default_rng(1)
     vals = rng.uniform(0.5, 1.5, (2, mesh.n_nodes))
 
-    def init1(pts):
-        return vals[0]
-
-    def init2(pts):
-        return vals[1]
-
-    tc = zero_config(T=0.02, tau=1e-3, initial_p1=init1, initial_p2=init2)
+    tc = zero_config(T=0.02, tau=1e-3, initial=lambda pts: vals)
     result = run_transient(mesh, scheme_config("eafe"), tc)
     interior = ~mesh.boundary
     assert all(d.min_p1 > 0.0 and d.min_p2 > 0.0 for d in result.diagnostics)
