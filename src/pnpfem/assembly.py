@@ -86,6 +86,7 @@ class _Workspace:
         "stiffness_data",
         "lumped",
         "_edges",
+        "_grid",
     )
 
     def __init__(self, mesh: BoxMesh):
@@ -115,6 +116,7 @@ class _Workspace:
             minlength=n,
         )
         self._edges = None  # the eafe _EdgeTable, built on first use
+        self._grid = False  # the _GridSolver or None, detected on the first potential solve
 
     def _scatter(self, local_vals) -> np.ndarray:
         return np.bincount(
@@ -168,10 +170,67 @@ class _EdgeTable:
         return np.bincount(self.slots, weights=vals, minlength=self.pattern.nnz)
 
 
+class _GridSolver:
+    """Exact solve with the interior stiffness block of a tensor-grid box.
+
+    The orthonormal DST-I along each axis diagonalises that block, the separable
+    7-point stencil: 2(a_x + a_y + a_z) on the diagonal, -a_d one lattice step
+    along axis d (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+    fast Poisson solvers).  Dense sine matrices by matmul: O(m^4), m nodes per axis.
+    """
+
+    __slots__ = ("free", "shape", "coupling", "sines", "eig")
+
+    def __init__(self, free, shape, coupling):
+        self.free, self.shape, self.coupling = free, shape, coupling
+        k = [np.arange(1, n + 1) for n in shape]
+        self.sines = [np.sqrt(2 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+                      for n, j in zip(shape, k)]
+        lam = [a * (2 - 2 * np.cos(np.pi * j / (n + 1))) for a, n, j in zip(coupling, shape, k)]
+        self.eig = lam[0][:, None, None] + lam[1][:, None] + lam[2]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """u on the free rows with (interior block) u = r[free]: S (S r / eig)."""
+        (sx, sy, sz), u = self.sines, r[self.free].reshape(self.shape)
+        for scale in (self.eig, 1.0):                      # the sine matrices are symmetric
+            u = (sy @ (sx @ u.reshape(len(sx), -1)).reshape(self.shape)) @ sz / scale
+        return u.ravel()
+
+
 def _workspace(mesh: BoxMesh) -> _Workspace:
     if mesh._workspace is None:
         mesh._workspace = _Workspace(mesh)
     return mesh._workspace
+
+
+def _grid_solver(mesh: BoxMesh) -> _GridSolver | None:
+    """The mesh's _GridSolver, detected once, or None.
+
+    Node k is lattice point unravel_index(k, m), m the distinct coordinates per
+    axis; ``boundary`` must be the lattice's outer shell and each stored
+    interior stiffness entry the stencil, to 1e-12 of the largest entry.
+    """
+    ws = _workspace(mesh)
+    if ws._grid is not False:
+        return ws._grid
+    ws._grid = None
+    m = np.array([np.unique(mesh.nodes[:, d]).size for d in range(3)])
+    if m.prod() != mesh.n_nodes or m.min() < 3:
+        return None
+    ijk = np.stack(np.unravel_index(np.arange(mesh.n_nodes), m), axis=1)
+    shell = ((ijk == 0) | (ijk == m - 1)).any(axis=1)
+    if not np.array_equal(mesh.boundary, shell):
+        return None
+    rows, cols, vals = ws.pattern.rows(), ws.pattern.indices, ws.stiffness_data
+    first = rows == (m[1] + 1) * m[2] + 1                     # row of lattice node (1, 1, 1)
+    coupling = np.array([-vals[first & (cols - rows == s)].sum() for s in (m[1] * m[2], m[2], 1)])
+    inner = ~shell[rows] & ~shell[cols]
+    step = np.abs(ijk[cols[inner]] - ijk[rows[inner]])
+    expect = np.select([step.sum(1) == 0, step.sum(1) == 1],
+                       [2 * coupling.sum(), -coupling[step.argmax(1)]])
+    if np.abs(vals[inner] - expect).max() <= 1e-12 * np.abs(vals).max():
+        ws._grid = _GridSolver(np.flatnonzero(~shell), tuple(m - 2), coupling)
+    return ws._grid
 
 
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:

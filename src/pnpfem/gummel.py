@@ -22,6 +22,7 @@ moves with ``linear_tol``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,15 @@ def _impose(values: np.ndarray, mask: np.ndarray, bc: np.ndarray) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _failure_context(where: str):
+    """Re-raise a linear-solve failure with ``where`` in front of its message."""
+    try:
+        yield
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(f"{where}: {exc}", exc.residual, exc.iterations) from exc
+
+
 def solve_potential(
     mesh: BoxMesh, cfg: SchemeConfig, matrix: SparseMatrix, load: np.ndarray,
     mass: np.ndarray, bc: np.ndarray, p, guess: np.ndarray,
@@ -131,27 +141,31 @@ def solve_potential(
     """Potential for the frozen concentration pair ``p``.
 
     Solves ``matrix`` (stiffness with identity boundary rows) against
-    load + sum_i z_i * mass * p_i, with the boundary values ``bc`` put into
-    both the right-hand side and the initial guess.  Every potential solve
-    of a run, sweeps and refreshes alike, goes through here.
+    load + sum_i z_i * mass * p_i by CG, which verifies the residual, from
+    ``bc`` on the boundary and inside from the exact DST solve of the interior
+    block on a tensor-grid box (0 CG iterations), else from ``guess``.  Every
+    potential solve of a run, sweeps and refreshes alike, goes through here.
     """
     bmask = mesh.boundary
     rhs = load.copy()
     for z, p_i in zip(cfg.charges, p):
         rhs += z * (mass * p_i)
     rhs = _impose(rhs, bmask, bc)
-    x0 = _impose(guess, bmask, bc)
-    return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0).x
+    grid = assembly._grid_solver(mesh)
+    x0 = _impose(guess if grid is None else np.zeros(mesh.n_nodes), bmask, bc)
+    if grid is not None:
+        x0[grid.free] = grid.solve(rhs - spmv(matrix, x0))
+    with _failure_context("potential solve"):
+        return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0).x
 
 
 def gummel_step(problem: StepProblem, iterate: State) -> State:
     """One decoupling sweep.
 
     The potential solve sees the concentrations of the given iterate; the
-    concentration solves see the potential just computed.  Initial guesses
-    reuse the iterate with boundary rows corrected, which both warm-starts
-    the Krylov solvers and keeps the conjugate-gradient iteration on the
-    free unknowns.
+    concentration solves see the potential just computed and start from the
+    iterate with boundary rows corrected.  A failed solve is re-raised with
+    its name: "potential solve", "species 1 solve" or "species 2 solve".
     """
     mesh = problem.mesh
     cfg = problem.cfg
@@ -175,11 +189,9 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
                 )
         rhs_i = _impose(rhs_i, bmask, problem.bc_p[i])
         guess = _impose(prev_p[i], bmask, problem.bc_p[i])
-        p_new.append(
-            solve_general(
-                system.matrix, rhs_i, cfg.linear_tol, cfg.linear_maxit, x0=guess
-            ).x
-        )
+        with _failure_context(f"species {i + 1} solve"):
+            sol = solve_general(system.matrix, rhs_i, cfg.linear_tol, cfg.linear_maxit, x0=guess)
+        p_new.append(sol.x)
 
     return State(phi_new, p_new[0], p_new[1], problem.t_next)
 
@@ -208,14 +220,8 @@ def gummel_solve(
     stacked_inf: list[float] = []
     converged = False
     for sweep in range(maxit):
-        try:
+        with _failure_context(f"linear solve failed in gummel sweep {sweep + 1}"):
             new = gummel_step(problem, state)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"linear solve failed in gummel sweep {sweep + 1}: {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
         d1 = new.p1 - state.p1
         d2 = new.p2 - state.p2
         dphi = new.phi - state.phi

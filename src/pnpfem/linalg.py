@@ -5,8 +5,8 @@ Krylov solvers (Jacobi-preconditioned CG and BiCGSTAB) instead of pulling in
 a sparse-algebra dependency: every system solved here is either symmetric
 positive definite on the free unknowns or a well-conditioned M-matrix
 perturbation of a diagonal, and the solvers verify the true residual before
-declaring success.  A dense Gaussian-elimination fallback covers awkward
-small systems.
+declaring success (one product for a start that already meets the target).
+A dense Gaussian-elimination fallback covers awkward small systems.
 """
 
 from __future__ import annotations
@@ -182,12 +182,12 @@ def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResu
     while it < maxit:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= target:
-            true_r = b - spmv(a, x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= target:
-                return SolveResult(x, it, true_norm, "cg")
+            if it > 0:  # r is the recursive residual: check the true one
+                r = b - spmv(a, x)
+                rnorm = float(np.linalg.norm(r))
+            if rnorm <= target:
+                return SolveResult(x, it, rnorm, "cg")
             # recursive residual drifted; restart from the true one
-            r = true_r
             z = r / d
             p = z.copy()
             rz = float(r @ z)
@@ -262,11 +262,11 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
     while it < maxit:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= target:
-            true_r = b - spmv(a, x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= target:
-                return SolveResult(x, it, true_norm, "bicgstab")
-            r = true_r
+            if it > 0:  # r is the recursive residual: check the true one
+                r = b - spmv(a, x)
+                rnorm = float(np.linalg.norm(r))
+            if rnorm <= target:
+                return SolveResult(x, it, rnorm, "bicgstab")
             r_hat = r.copy()
             rho = alpha = omega = 1.0
             v[:] = 0.0
@@ -305,10 +305,11 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
     if a.n <= _DENSE_FALLBACK_LIMIT:
         return _dense_solve(a, b, target)
     reason = "breakdown" if broke_down else f"no convergence in {maxit} iterations"
+    rnorm = float(np.linalg.norm(b - spmv(a, x)))
     raise NonConvergenceError(
-        f"bicgstab: {reason} (residual {float(np.linalg.norm(b - spmv(a, x))):g}, "
+        f"bicgstab: {reason} (residual {rnorm:g}, "
         f"target {target:g}) and dimension {a.n} exceeds dense fallback limit",
-        residual=float(np.linalg.norm(b - spmv(a, x))),
+        residual=rnorm,
         iterations=it,
     )
 

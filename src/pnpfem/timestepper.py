@@ -28,7 +28,7 @@ import numpy as np
 
 from . import assembly
 from .gummel import GummelReport, State, StepProblem, gummel_solve, solve_potential
-from .linalg import column_mmatrix_check, interior_submatrix
+from .linalg import NonConvergenceError, column_mmatrix_check, interior_submatrix
 from .linalg import solve_spd, spmv  # unused here; bench/tracing.py wraps these names
 
 __all__ = [
@@ -108,7 +108,7 @@ class TransientResult:
 
 
 class TransientAbortError(RuntimeError):
-    """A step failed to converge; carries the step index and partial history."""
+    """A step did not converge or a linear solve failed; carries step and partial history."""
 
     def __init__(self, message: str, step: int, partial: TransientResult):
         super().__init__(message)
@@ -153,8 +153,8 @@ def _boundary_values(mesh, boundary, t: float) -> np.ndarray:
 def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     """March the coupled system from t = 0 to t = T.
 
-    Returns the full history; a non-converged step aborts with the step
-    index and the partial history attached to the exception.
+    Returns the full history; a failed step (no convergence, or a failed
+    linear solve as the cause) aborts with its index and the partial history.
     """
     cfg = scheme_cfg
     tc = transient_cfg
@@ -200,7 +200,17 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             mass=mass,
             source_elem_int=source_elem,
         )
-        new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
+        try:
+            new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
+            if report.converged:
+                # refresh the potential against the accepted concentrations so
+                # the stored state satisfies its own potential equation
+                new_state.phi = solve_potential(
+                    mesh, cfg, a_bc, problem.g_phi, mass, problem.bc_phi,
+                    (new_state.p1, new_state.p2), new_state.phi,
+                )
+        except NonConvergenceError as exc:
+            raise TransientAbortError(f"step {step} (t = {t_next:g}): {exc}", step, result) from exc
         result.reports.append(report)
         if not report.converged:
             result.times.append(t_next)
@@ -210,13 +220,6 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 step=step,
                 partial=result,
             )
-
-        # refresh the potential against the accepted concentrations so the
-        # stored state satisfies its own potential equation
-        new_state.phi = solve_potential(
-            mesh, cfg, a_bc, problem.g_phi, mass, problem.bc_phi,
-            (new_state.p1, new_state.p2), new_state.phi,
-        )
 
         if interior.any():
             result.diagnostics.append(

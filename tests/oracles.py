@@ -10,12 +10,15 @@ few hundred nodes.  ``csr_from_dense`` is the one bridge back into the
 package's CSR type, for tests that hand-build small sparse matrices, and
 ``eafe_per_tet`` keeps the package's former per-tet eafe kernel (it uses the
 package's ``bernoulli``) as a reference for the per-edge assembly.
+``jittered_box`` builds the unstructured mesh that structure-exploiting
+code paths must decline.
 """
 
 import numpy as np
 
 from pnpfem.assembly import bernoulli
 from pnpfem.linalg import SparseMatrix
+from pnpfem.mesh import BoxMesh, build_box_mesh
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -227,3 +230,13 @@ def oracle_np_matrix(mesh, phi, c, tau, scheme, tau_tilde=1.0, apply_bc=True, q=
     if apply_bc:
         a = dirichlet_rows(a, mesh.boundary)
     return a
+
+
+def jittered_box(n=3, seed=0, amplitude=0.2):
+    """Box mesh whose interior nodes are moved by up to amplitude * h per axis."""
+    base = build_box_mesh(n)
+    nodes = base.nodes.copy()
+    inner = ~base.boundary
+    rng = np.random.default_rng(seed)
+    nodes[inner] += rng.uniform(-amplitude, amplitude, (inner.sum(), 3)) / n
+    return BoxMesh.from_cells(nodes, base.tets, base.boundary)

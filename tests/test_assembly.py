@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import jittered_box
 from pnpfem import assembly
 from pnpfem.assembly import (
     SchemeConfig,
@@ -428,14 +429,48 @@ def test_eafe_entries_match_edge_quadrature():
     assert np.abs(sys_.matrix.to_dense() - expect).max() < 1e-10
 
 
-def jittered_box(n=3, seed=0, amplitude=0.2):
-    """Box mesh whose interior nodes are moved by up to amplitude * h per axis."""
+@pytest.mark.parametrize("n, hi", [(2, (1.0,) * 3), (3, (1.0,) * 3), (5, (1.0,) * 3),
+                                   (4, (1.0, 2.0, 3.0))])
+def test_grid_solver_is_the_exact_interior_inverse(n, hi):
+    mesh = build_box_mesh(n, (0.0,) * 3, hi)
+    grid = assembly._grid_solver(mesh)
+    h = np.array(hi) / n
+    assert grid.shape == (n - 1,) * 3
+    assert np.allclose(grid.coupling, h.prod() / h**2, rtol=1e-13, atol=0.0)
+    inner = ~mesh.boundary
+    block = assemble_stiffness(mesh).to_dense()[np.ix_(inner, inner)]
+    r = np.random.default_rng(n).standard_normal(mesh.n_nodes)
+    expect = np.linalg.solve(block, r[inner])
+    assert np.linalg.norm(grid.solve(r) - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def graded_box(n=4):
+    """Tensor grid with graded spacing: no constant-coefficient stencil."""
     base = build_box_mesh(n)
-    nodes = base.nodes.copy()
-    inner = ~base.boundary
-    rng = np.random.default_rng(seed)
-    nodes[inner] += rng.uniform(-amplitude, amplitude, (inner.sum(), 3)) / n
-    return BoxMesh.from_cells(nodes, base.tets, base.boundary)
+    return BoxMesh.from_cells(base.nodes**2, base.tets, base.boundary)
+
+
+def renumbered_box(n=3):
+    """Kuhn box with its nodes in a shuffled order."""
+    base = build_box_mesh(n)
+    perm = np.random.default_rng(1).permutation(base.n_nodes)   # new -> old
+    old_to_new = np.argsort(perm)
+    return BoxMesh.from_cells(base.nodes[perm], old_to_new[base.tets], base.boundary[perm])
+
+
+def all_boundary_box(n=3):
+    """Kuhn box whose every node is flagged as boundary (the from_cells default)."""
+    base = build_box_mesh(n)
+    return BoxMesh.from_cells(base.nodes, base.tets)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [jittered_box, graded_box, renumbered_box, all_boundary_box, lambda: build_box_mesh(1)],
+    ids=["jittered", "graded", "renumbered", "all_boundary", "no_interior"],
+)
+def test_grid_solver_declines_other_meshes(make):
+    assert assembly._grid_solver(make()) is None
 
 
 def summed_edge_weights(mesh):

@@ -48,3 +48,19 @@ def test_tracer_sees_one_data_evaluation_per_level():
     # t = 0 and two steps: one source evaluation and one load call per level,
     # one element-integral call per step
     assert (spans["source_terms"], spans["assemble_load"], spans["element_integrals"]) == (3, 3, 2)
+
+
+def test_tracer_sees_every_potential_solve_start_exact():
+    from pnpfem.manufactured import scheme_config, transient_problem
+    from pnpfem.mesh import build_box_mesh
+    from pnpfem.timestepper import run_transient
+
+    tracing = load_tracing()
+    mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = run_transient(mesh, scheme_config("fem"), transient_problem(T=0.125, tau=0.0625))
+    counts = [s.count for s in tracer.spans if s.name == "solve_spd"]
+    # the t = 0 solve, then one per sweep and the refresh of every step, each
+    # verified by CG at its start, the exact grid guess
+    assert counts == [(0, "cg")] * (1 + sum(r.iterations + 1 for r in result.reports))

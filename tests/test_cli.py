@@ -196,6 +196,19 @@ def test_exit_code_solver_failure(tmp_path):
     assert (tmp_path / "history.csv").exists()
 
 
+def test_linear_failure_writes_partial_history(tmp_path, capsys, second_step_species_failure):
+    code = main(
+        ["run", "--n", "2", "--T", "0.03", "--tau", "0.01", "--out", str(tmp_path)]
+    )
+    assert code == 3
+    assert "step 1" in capsys.readouterr().err
+    lines = read(tmp_path / "history.csv").strip().split("\n")
+    assert lines[0].startswith("step,t,gummel_iterations")
+    assert lines[1].startswith("0,0.01,")
+    assert lines[-1].startswith("# config-hash ")
+    assert len(lines) == 1 + 1 + 1
+
+
 def test_exit_code_io_error(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory")

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import jittered_box
 from pnpfem import assembly
+from pnpfem import gummel as gummel_module
 from pnpfem.gummel import (
     State,
     StepProblem,
@@ -199,8 +201,10 @@ def test_maxit_exhaustion_is_reported_not_raised():
 
 
 def test_linear_solver_failure_carries_sweep_index():
-    # enough interior unknowns that one CG iteration cannot converge
-    mesh = build_box_mesh(4, *BOX)
+    # enough interior unknowns that one CG iteration cannot converge; the
+    # jittered mesh is no tensor grid, so CG starts from the warm start
+    mesh = jittered_box(4)
+    assert assembly._grid_solver(mesh) is None
     tc = transient_problem(T=0.01, tau=0.01)
     n = mesh.n_nodes
     prev = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
@@ -209,6 +213,61 @@ def test_linear_solver_failure_carries_sweep_index():
     with pytest.raises(NonConvergenceError) as err:
         gummel_solve(problem, prev)
     assert "sweep" in str(err.value)
+    assert "potential solve" in str(err.value)
+
+
+def potential_data(mesh, seed=0):
+    rng = np.random.default_rng(seed)
+    n = mesh.n_nodes
+    matrix = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), mesh.boundary)
+    load, bc, p1, p2 = rng.uniform(-1.0, 1.0, (4, n))
+    mass = assembly.lumped_volumes(mesh) / 4.0
+    rhs = load + mass * (p1 - p2)
+    rhs[mesh.boundary] = bc[mesh.boundary]
+    return matrix, load, mass, bc, (p1, p2), rhs
+
+
+def record_potential_solves(monkeypatch):
+    results, solve = [], gummel_module.solve_spd
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(gummel_module, "solve_spd", recording)
+    return results
+
+
+@pytest.mark.parametrize("n, hi", [(5, (0.5,) * 3), (4, (1.0, 2.0, 3.0))])
+def test_potential_solve_on_a_grid_needs_no_cg_iteration(monkeypatch, n, hi):
+    mesh = build_box_mesh(n, (-0.5,) * 3, hi)
+    scfg = scheme_config("fem", linear_tol=1e-13)
+    matrix, load, mass, bc, p, rhs = potential_data(mesh)
+    results = record_potential_solves(monkeypatch)
+    phi = solve_potential(mesh, scfg, matrix, load, mass, bc, p, np.zeros(mesh.n_nodes))
+    assert [r.iterations for r in results] == [0]
+    assert np.linalg.norm(spmv(matrix, phi) - rhs) <= scfg.linear_tol * np.linalg.norm(rhs)
+
+
+def test_potential_solve_verifies_a_wrong_grid_guess(monkeypatch):
+    mesh = build_box_mesh(5, *BOX)
+    scfg = scheme_config("fem")
+    grid = assembly._grid_solver(mesh)
+    eig = grid.eig.copy()
+    eig[0, 0, 0] *= 2.0
+    monkeypatch.setattr(grid, "eig", eig)
+    matrix, load, mass, bc, p, rhs = potential_data(mesh)
+    results = record_potential_solves(monkeypatch)
+    phi = solve_potential(mesh, scfg, matrix, load, mass, bc, p, np.zeros(mesh.n_nodes))
+    assert results[0].iterations > 0
+    assert np.linalg.norm(spmv(matrix, phi) - rhs) <= scfg.linear_tol * np.linalg.norm(rhs)
+
+
+def test_potential_solve_without_interior_returns_the_boundary_data():
+    mesh = build_box_mesh(1, *BOX)
+    matrix, load, mass, bc, p, _ = potential_data(mesh)
+    phi = solve_potential(mesh, scheme_config("fem"), matrix, load, mass, bc, p, np.zeros(8))
+    assert np.array_equal(phi, bc)
 
 
 def test_determinism_bitwise():

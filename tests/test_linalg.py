@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import csr_from_dense
+from pnpfem import linalg
 from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
 from pnpfem.linalg import (
     NonConvergenceError,
@@ -109,6 +110,23 @@ def test_solve_spd_nonconvergence_carries_residual():
     with pytest.raises(NonConvergenceError) as err:
         solve_spd(a, np.ones(3), tol=1e-14, maxit=1)
     assert err.value.residual is not None
+
+
+def test_converged_start_costs_one_spmv(monkeypatch):
+    calls = []
+
+    def counting(a, x):
+        calls.append(None)
+        return spmv(a, x)
+
+    monkeypatch.setattr(linalg, "spmv", counting)
+    a = csr_from_dense(
+        np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    )
+    for solve in (solve_spd, solve_general):
+        calls.clear()
+        res = solve(a, np.ones(3), x0=[1.5, 2.0, 1.5])
+        assert (res.iterations, res.residual, len(calls)) == (0, 0.0, 1)
 
 
 def test_solve_general_diagonal():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnpfem import assembly
-from pnpfem.linalg import spmv
+from pnpfem.linalg import NonConvergenceError, spmv
 from pnpfem.manufactured import scheme_config, transient_problem
 from pnpfem.mesh import build_box_mesh
 from pnpfem.timestepper import (
@@ -153,6 +153,34 @@ def test_abort_carries_step_and_partial_history():
     assert err.value.step == 0
     assert len(err.value.partial.reports) == 1
     assert not err.value.partial.reports[0].converged
+
+
+def test_linear_failure_aborts_with_step_solve_and_cause():
+    # 1e-17 relative is below rounding, so the first potential solve fails
+    mesh = build_box_mesh(4, *BOX)
+    scfg = scheme_config("fem", linear_tol=1e-17, linear_maxit=50)
+    with pytest.raises(TransientAbortError) as err:
+        run_transient(mesh, scfg, transient_problem(T=0.25, tau=1.0 / 16))
+    assert err.value.step == 0
+    assert "step 0" in str(err.value)
+    assert "gummel sweep 1: potential solve" in str(err.value)
+    assert err.value.partial.reports == []
+    cause = err.value.__cause__
+    assert isinstance(cause, NonConvergenceError)
+    assert cause.iterations == 50 and cause.residual > 0.0
+
+
+def test_linear_failure_keeps_the_completed_steps(second_step_species_failure):
+    mesh = build_box_mesh(2, *BOX)
+    with pytest.raises(TransientAbortError) as err:
+        run_transient(mesh, scheme_config("fem"), transient_problem(T=0.03, tau=0.01))
+    assert err.value.step == 1
+    assert "step 1" in str(err.value)
+    assert "gummel sweep 1: species 1 solve: bicgstab: forced failure" in str(err.value)
+    partial = err.value.partial
+    assert len(partial.reports) == len(partial.times) == len(partial.diagnostics) == 1
+    assert partial.reports[0].converged
+    assert (err.value.__cause__.residual, err.value.__cause__.iterations) == (1.0, 7)
 
 
 def test_bound_constants_examples():
