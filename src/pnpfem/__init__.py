@@ -16,7 +16,6 @@ from .assembly import (
     assemble_stiffness,
     apply_dirichlet_rows,
     bernoulli,
-    edge_harmonic_average,
     lumped_volumes,
 )
 from .gummel import (

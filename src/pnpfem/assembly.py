@@ -38,7 +38,6 @@ __all__ = [
     "assemble_load",
     "element_integrals",
     "bernoulli",
-    "edge_harmonic_average",
     "assemble_np",
     "stab_source_vector",
 ]
@@ -343,16 +342,6 @@ def bernoulli(t):
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-def edge_harmonic_average(a, b):
-    """Inverse mean of exp along an edge with endpoint exponents a and b.
-
-    Equals (b - a) / (exp(b) - exp(a)) for a != b and exp(-a) at a == b;
-    evaluated as exp(-a) * B(b - a) to stay finite near coincident values.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.exp(-a) * bernoulli(np.asarray(b, dtype=float) - a)
 
 
 @dataclass

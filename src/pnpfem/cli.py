@@ -27,7 +27,6 @@ import numpy as np
 
 from . import manufactured
 from .gummel import contraction_stats
-from .linalg import NonConvergenceError
 from .mesh import build_box_mesh, dump_mesh, mesh_quality_report
 from .timestepper import TransientAbortError, run_transient, write_history
 
@@ -165,8 +164,8 @@ def _write_csv(path, header, rows, hash_hex):
         fh.write(f"# config-hash {hash_hex}\n")
 
 
-def _run_cell(scheme: str, n: int, tau: float, cfg: RunConfig, linear_tol: float | None = None):
-    mesh = build_box_mesh(n, BOX_LO, BOX_HI)
+def _run_cell(mesh, scheme: str, tau: float, cfg: RunConfig, linear_tol: float | None = None):
+    """Run one transient of the benchmark on ``mesh``; a bad cell is a ConfigError."""
     overrides = {"supg_scale": cfg.supg_scale}
     if linear_tol is not None:
         overrides["linear_tol"] = linear_tol
@@ -177,7 +176,7 @@ def _run_cell(scheme: str, n: int, tau: float, cfg: RunConfig, linear_tol: float
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return mesh, run_transient(mesh, scfg, tc)
+    return run_transient(mesh, scfg, tc)
 
 
 def run_convergence_study(cfg: RunConfig, sizes=None, out_path=None):
@@ -197,9 +196,10 @@ def run_convergence_study(cfg: RunConfig, sizes=None, out_path=None):
     prev = None
     for n in sizes:
         tau = cfg.resolve_tau(n)
+        mesh = build_box_mesh(n, BOX_LO, BOX_HI)
         try:
-            mesh, result = _run_cell(cfg.scheme, n, tau, cfg)
-        except (TransientAbortError, NonConvergenceError) as exc:
+            result = _run_cell(mesh, cfg.scheme, tau, cfg)
+        except TransientAbortError as exc:
             failure = exc
             break
         errs = []
@@ -241,8 +241,9 @@ def run_contraction_study(cfg: RunConfig, multipliers=None, out_path=None):
             try:
                 # tight inner solves; the trailing ratios still sit at the
                 # solver's resolution (see the gummel module docstring)
-                _, result = _run_cell(scheme, cfg.n, tau, cfg, linear_tol=1e-12)
-            except (TransientAbortError, NonConvergenceError) as exc:
+                mesh = build_box_mesh(cfg.n, BOX_LO, BOX_HI)
+                result = _run_cell(mesh, scheme, tau, cfg, linear_tol=1e-12)
+            except TransientAbortError as exc:
                 failure = exc
                 break
             alpha = contraction_stats(result.reports).alpha_bar
@@ -269,15 +270,10 @@ def run_mmatrix_audit(cfg: RunConfig, out_path=None):
     hash_hex = config_hash(cfg, {"study": "audit", "tau": tau})
     mesh = build_box_mesh(cfg.n, BOX_LO, BOX_HI)
     quality = mesh_quality_report(mesh)
-    scfg = manufactured.scheme_config(cfg.scheme, supg_scale=cfg.supg_scale)
-    tc = manufactured.transient_problem(
-        T=cfg.T, tau=tau, eps=cfg.epsilon, max_iter=cfg.max_iter
-    )
     rows = []
     failure = None
     try:
-        result = run_transient(mesh, scfg, tc)
-        diagnostics = result.diagnostics
+        diagnostics = _run_cell(mesh, cfg.scheme, tau, cfg).diagnostics
     except TransientAbortError as exc:
         failure = exc
         diagnostics = exc.partial.diagnostics
@@ -303,7 +299,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     hash_hex = config_hash(cfg, {"study": "run", "tau": tau})
     out_path = os.path.join(cfg.out, "history.csv")
     try:
-        _, result = _run_cell(cfg.scheme, cfg.n, tau, cfg)
+        result = _run_cell(build_box_mesh(cfg.n, BOX_LO, BOX_HI), cfg.scheme, tau, cfg)
     except TransientAbortError as exc:
         write_history(exc.partial, out_path, hash_hex)
         raise
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"pnpfem: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (TransientAbortError, NonConvergenceError) as exc:
+    except TransientAbortError as exc:
         print(f"pnpfem: solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -61,9 +61,6 @@ class State:
     def concentrations(self) -> np.ndarray:
         return np.stack((self.p1, self.p2))
 
-    def copy(self) -> "State":
-        return State(self.phi.copy(), self.p1.copy(), self.p2.copy(), self.t)
-
 
 @dataclass
 class GummelReport:
@@ -269,9 +266,6 @@ class ContractionSummary:
     """Aggregate of contraction measurements over a transient run."""
 
     alpha_bar: float          # mean of the per-step means, NaN steps skipped
-    per_step: np.ndarray      # one alpha_bar per report (may contain NaN)
-    n_steps: int
-    total_ratios: int
     max_ratio: float          # largest single ratio observed (NaN if none)
 
 
@@ -285,8 +279,5 @@ def contraction_stats(reports) -> ContractionSummary:
     all_ratios = np.concatenate([r.ratios for r in reports])
     return ContractionSummary(
         alpha_bar=float(valid.mean()) if valid.size else float("nan"),
-        per_step=per_step,
-        n_steps=len(reports),
-        total_ratios=int(all_ratios.size),
         max_ratio=float(all_ratios.max()) if all_ratios.size else float("nan"),
     )

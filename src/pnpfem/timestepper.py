@@ -83,11 +83,8 @@ class DiagnosticsRecord:
     step: int
     t: float
     min_p1: float
-    max_p1: float
     min_p2: float
-    max_p2: float
     C_J: float
-    C_k: np.ndarray
     tau_star: float
     mmatrix_ok_p1: bool
     mmatrix_ok_p2: bool
@@ -155,6 +152,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
     Returns the full history; a failed step (no convergence, or a failed
     linear solve as the cause) aborts with its index and the partial history.
+    A failed t = 0 potential solve aborts as step 0 with no reports.
     """
     cfg = scheme_cfg
     tc = transient_cfg
@@ -167,40 +165,40 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
     points = assembly.quadrature_points(mesh)
     p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
-    bc = _boundary_values(mesh, tc.boundary, 0.0)
-    phi = solve_potential(
-        mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]), mass,
-        bc[0], (p1, p2), np.zeros(mesh.n_nodes),
-    )
-    state = State(phi, p1, p2, 0.0)
-
+    state = State(np.zeros(mesh.n_nodes), p1, p2, 0.0)
     result = TransientResult(state=state)
     t = 0.0
-    for step in range(tc.n_steps):
-        t_next = min((step + 1) * tc.tau, tc.T)
-        tau_n = t_next - t
-        sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
-        loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
-        f_np = tau_n * loads[1:] + mass * state.concentrations()
-        bc = _boundary_values(mesh, tc.boundary, t_next)
-        source_elem = None
-        if cfg.scheme == "supg":
-            source_elem = assembly.element_integrals(mesh, sources[1:])
-        problem = StepProblem(
-            mesh=mesh,
-            cfg=cfg,
-            tau=tau_n,
-            t_next=t_next,
-            poisson_matrix=a_bc,
-            g_phi=loads[0],
-            bc_phi=bc[0],
-            f_np=f_np,
-            bc_p=bc[1:],
-            p_level=state.concentrations(),
-            mass=mass,
-            source_elem_int=source_elem,
+    step, where = 0, "initial potential (t = 0)"
+    try:
+        state.phi = solve_potential(
+            mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]), mass,
+            _boundary_values(mesh, tc.boundary, 0.0)[0], (p1, p2), state.phi,
         )
-        try:
+        for step in range(tc.n_steps):
+            t_next = min((step + 1) * tc.tau, tc.T)
+            where = f"step {step} (t = {t_next:g})"
+            tau_n = t_next - t
+            sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
+            loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
+            f_np = tau_n * loads[1:] + mass * state.concentrations()
+            bc = _boundary_values(mesh, tc.boundary, t_next)
+            source_elem = None
+            if cfg.scheme == "supg":
+                source_elem = assembly.element_integrals(mesh, sources[1:])
+            problem = StepProblem(
+                mesh=mesh,
+                cfg=cfg,
+                tau=tau_n,
+                t_next=t_next,
+                poisson_matrix=a_bc,
+                g_phi=loads[0],
+                bc_phi=bc[0],
+                f_np=f_np,
+                bc_p=bc[1:],
+                p_level=state.concentrations(),
+                mass=mass,
+                source_elem_int=source_elem,
+            )
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
             if report.converged:
                 # refresh the potential against the accepted concentrations so
@@ -209,29 +207,29 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                     mesh, cfg, a_bc, problem.g_phi, mass, problem.bc_phi,
                     (new_state.p1, new_state.p2), new_state.phi,
                 )
-        except NonConvergenceError as exc:
-            raise TransientAbortError(f"step {step} (t = {t_next:g}): {exc}", step, result) from exc
-        result.reports.append(report)
-        if not report.converged:
-            result.times.append(t_next)
-            raise TransientAbortError(
-                f"gummel iteration did not converge at step {step} (t = {t_next:g}): "
-                f"final increment {report.final_increment:g} > eps {tc.eps:g}",
-                step=step,
-                partial=result,
-            )
-
-        if interior.any():
-            result.diagnostics.append(
-                _diagnose(
-                    mesh, cfg, step, t_next, tau_n, state, new_state,
-                    f_np, loads[1:], omega_vol, interior,
+            result.reports.append(report)
+            if not report.converged:
+                result.times.append(t_next)
+                raise TransientAbortError(
+                    f"gummel iteration did not converge at step {step} (t = {t_next:g}): "
+                    f"final increment {report.final_increment:g} > eps {tc.eps:g}",
+                    step=step,
+                    partial=result,
                 )
-            )
-        state = new_state
-        result.state = state
-        result.times.append(t_next)
-        t = t_next
+
+            if interior.any():
+                result.diagnostics.append(
+                    _diagnose(
+                        mesh, cfg, step, t_next, tau_n, state, new_state,
+                        f_np, loads[1:], omega_vol, interior,
+                    )
+                )
+            state = new_state
+            result.state = state
+            result.times.append(t_next)
+            t = t_next
+    except NonConvergenceError as exc:
+        raise TransientAbortError(f"{where}: {exc}", step, result) from exc
     return result
 
 
@@ -243,7 +241,7 @@ def _diagnose(
     floor = min(
         float(old_state.p1[interior].min()), float(old_state.p2[interior].min())
     )
-    c_j, c_k, tau_star = bound_constants(
+    c_j, _, tau_star = bound_constants(
         f_int, omega_vol[interior], g_int, max(floor, 1e-12)
     )
     verdicts = []
@@ -255,11 +253,8 @@ def _diagnose(
         step=step,
         t=t_next,
         min_p1=float(new_state.p1[interior].min()),
-        max_p1=float(new_state.p1[interior].max()),
         min_p2=float(new_state.p2[interior].min()),
-        max_p2=float(new_state.p2[interior].max()),
         C_J=c_j,
-        C_k=c_k,
         tau_star=tau_star,
         mmatrix_ok_p1=verdicts[0],
         mmatrix_ok_p2=verdicts[1],

@@ -179,10 +179,19 @@ def test_audit_rows(tmp_path):
         assert row[6] in (True, False)
 
 
-def test_exit_code_config_error():
-    assert main(["run", "--n", "0"]) == 2
-    assert main(["run", "--tau", "bogus"]) == 2
-    assert main(["run", "--tau", "0"]) == 2
+@pytest.mark.parametrize("command", ["run", "audit", "converge", "contract"])
+def test_exit_code_config_error(command, tmp_path, capsys):
+    assert main([command, "--n", "0"]) == 2
+    assert main([command, "--tau", "bogus"]) == 2
+    assert main([command, "--tau", "0"]) == 2
+    # tau > T passes validation and is refused when the cell is built
+    # (contract: 4 h^2 = 1 > T at n = 2)
+    argv = [command, "--n", "2", "--tau", "0.5", "--T", "0.25", "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pnpfem: configuration error: need 0 < tau <= T")
+    assert "Traceback" not in err
 
 
 def test_exit_code_solver_failure(tmp_path):

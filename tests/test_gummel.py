@@ -305,7 +305,6 @@ def test_contraction_stats_basics():
     assert np.isnan(s.alpha_bar) or s.alpha_bar == 0.0
     s = contraction_stats([make_report([0.1, 0.2]), make_report([0.3])])
     assert s.alpha_bar == pytest.approx((0.15 + 0.3) / 2.0)
-    assert s.n_steps == 2
     assert s.max_ratio == pytest.approx(0.3)
     with pytest.raises(ValueError):
         contraction_stats([])

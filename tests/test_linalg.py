@@ -113,13 +113,18 @@ def test_solve_spd_nonconvergence_carries_residual():
 
 
 def test_converged_start_costs_one_spmv(monkeypatch):
+    # ... and no preconditioner set-up
     calls = []
 
     def counting(a, x):
         calls.append(None)
         return spmv(a, x)
 
+    def no_jacobi(a):
+        raise AssertionError("preconditioner built for a converged start")
+
     monkeypatch.setattr(linalg, "spmv", counting)
+    monkeypatch.setattr(linalg, "_jacobi", no_jacobi)
     a = csr_from_dense(
         np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     )
@@ -139,6 +144,9 @@ def test_solve_general_2x2():
     a = csr_from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     res = solve_general(a, np.array([1.0, 0.0]))
     assert np.allclose(res.x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    # meeting the target in the last allowed iteration is success, as in CG
+    last = solve_general(a, np.array([1.0, 0.0]), maxit=res.iterations)
+    assert last.iterations == res.iterations and np.array_equal(last.x, res.x)
 
 
 def test_solve_general_matches_dense_on_np_system():
@@ -152,12 +160,25 @@ def test_solve_general_matches_dense_on_np_system():
     assert np.abs(it.x - dense).max() < 1e-8
 
 
-def test_solve_general_dense_fallback_on_breakdown():
-    # skew system makes the first bicgstab direction degenerate (r'Ar = 0)
+def test_solve_general_breakdown_raises():
+    # skew system makes the first bicgstab direction degenerate (r'Ar = 0);
+    # no other method takes over, the failure is reported with its residual
     a = csr_from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    res = solve_general(a, np.array([1.0, 1.0]))
-    assert res.method == "dense"
-    assert np.allclose(res.x, [-1.0, 1.0], atol=1e-12)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_general(a, np.array([1.0, 1.0]))
+    assert str(err.value).startswith("bicgstab: breakdown")
+    assert err.value.residual == pytest.approx(np.sqrt(2.0))
+    assert err.value.iterations == 0
+
+
+def test_solve_general_nonconvergence_carries_residual():
+    a = csr_from_dense(
+        np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    )
+    with pytest.raises(NonConvergenceError) as err:
+        solve_general(a, np.ones(3), tol=1e-14, maxit=1)
+    assert "bicgstab: no convergence in 1 iterations" in str(err.value)
+    assert err.value.iterations == 1 and err.value.residual > 1e-14 * np.sqrt(3.0)
 
 
 def test_mmatrix_check_identity_passes():
