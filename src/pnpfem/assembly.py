@@ -33,6 +33,7 @@ __all__ = [
     "assemble_stiffness",
     "apply_dirichlet_rows",
     "lumped_volumes",
+    "potential_system",
     "assemble_convection",
     "quadrature_points",
     "assemble_load",
@@ -85,7 +86,7 @@ class _Workspace:
         "stiffness_data",
         "lumped",
         "_edges",
-        "_grid",
+        "_potential",
     )
 
     def __init__(self, mesh: BoxMesh):
@@ -115,7 +116,7 @@ class _Workspace:
             minlength=n,
         )
         self._edges = None  # the eafe _EdgeTable, built on first use
-        self._grid = False  # the _GridSolver or None, detected on the first potential solve
+        self._potential = None  # potential_system(mesh), built on first use
 
     def _scatter(self, local_vals) -> np.ndarray:
         return np.bincount(
@@ -202,17 +203,13 @@ def _workspace(mesh: BoxMesh) -> _Workspace:
     return mesh._workspace
 
 
-def _grid_solver(mesh: BoxMesh) -> _GridSolver | None:
-    """The mesh's _GridSolver, detected once, or None.
+def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
+    """The _GridSolver of the interior block of ``a``, or None.
 
     Node k is lattice point unravel_index(k, m), m the distinct coordinates per
     axis; ``boundary`` must be the lattice's outer shell and each stored
-    interior stiffness entry the stencil, to 1e-12 of the largest entry.
+    interior entry of ``a`` the stencil, to 1e-12 of the largest such entry.
     """
-    ws = _workspace(mesh)
-    if ws._grid is not False:
-        return ws._grid
-    ws._grid = None
     m = np.array([np.unique(mesh.nodes[:, d]).size for d in range(3)])
     if m.prod() != mesh.n_nodes or m.min() < 3:
         return None
@@ -220,16 +217,31 @@ def _grid_solver(mesh: BoxMesh) -> _GridSolver | None:
     shell = ((ijk == 0) | (ijk == m - 1)).any(axis=1)
     if not np.array_equal(mesh.boundary, shell):
         return None
-    rows, cols, vals = ws.pattern.rows(), ws.pattern.indices, ws.stiffness_data
+    rows, cols, vals = a.rows(), a.indices, a.data
     first = rows == (m[1] + 1) * m[2] + 1                     # row of lattice node (1, 1, 1)
     coupling = np.array([-vals[first & (cols - rows == s)].sum() for s in (m[1] * m[2], m[2], 1)])
     inner = ~shell[rows] & ~shell[cols]
     step = np.abs(ijk[cols[inner]] - ijk[rows[inner]])
     expect = np.select([step.sum(1) == 0, step.sum(1) == 1],
                        [2 * coupling.sum(), -coupling[step.argmax(1)]])
-    if np.abs(vals[inner] - expect).max() <= 1e-12 * np.abs(vals).max():
-        ws._grid = _GridSolver(np.flatnonzero(~shell), tuple(m - 2), coupling)
-    return ws._grid
+    if np.abs(vals[inner] - expect).max() > 1e-12 * np.abs(vals[inner]).max():
+        return None
+    return _GridSolver(np.flatnonzero(~shell), tuple(m - 2), coupling)
+
+
+def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
+    """The potential operator of ``mesh`` and its exact solver, built once.
+
+    Returns the stiffness with identity rows on ``mesh.boundary`` and, on a
+    tensor-grid box, the DST-I solver of its interior block (None elsewhere).
+    Built once per mesh (its arrays are read-only); every potential solve uses it.
+    """
+    ws = _workspace(mesh)
+    if ws._potential is None:
+        ws.pattern.rows()   # cached on the pattern first, so the matrix shares it
+        a = apply_dirichlet_rows(ws.pattern.with_data(ws.stiffness_data), mesh.boundary)
+        ws._potential = (a, _grid_solver(mesh, a))
+    return ws._potential
 
 
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:

@@ -23,12 +23,10 @@ import sys
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
-import numpy as np
-
 from . import manufactured
 from .gummel import contraction_stats
 from .mesh import build_box_mesh, dump_mesh, mesh_quality_report
-from .timestepper import TransientAbortError, run_transient, write_history
+from .timestepper import TransientAbortError, run_transient, write_csv, write_history
 
 __all__ = [
     "RunConfig",
@@ -146,24 +144,6 @@ def config_hash(cfg: RunConfig, extra: dict | None = None) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
-def _write_csv(path, header, rows, hash_hex):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
-        fh.write(f"# config-hash {hash_hex}\n")
-
-
 def _run_cell(mesh, scheme: str, tau: float, cfg: RunConfig, linear_tol: float | None = None):
     """Run one transient of the benchmark on ``mesh``; a bad cell is a ConfigError."""
     overrides = {"supg_scale": cfg.supg_scale}
@@ -217,7 +197,7 @@ def run_convergence_study(cfg: RunConfig, sizes=None, out_path=None):
             ]
         rows.append([cfg.scheme, 1.0 / n, tau, *errs, *rates])
         prev = errs
-    _write_csv(out_path, header, rows, hash_hex)
+    write_csv(out_path, header, rows, hash_hex)
     if failure is not None:
         raise failure
     return rows
@@ -234,6 +214,7 @@ def run_contraction_study(cfg: RunConfig, multipliers=None, out_path=None):
     rows = []
     failure = None
     h2 = (1.0 / cfg.n) ** 2
+    mesh = build_box_mesh(cfg.n, BOX_LO, BOX_HI)
     for scheme in ("fem", "supg", "eafe"):
         prev_alpha = None
         for mult in multipliers:
@@ -241,7 +222,6 @@ def run_contraction_study(cfg: RunConfig, multipliers=None, out_path=None):
             try:
                 # tight inner solves; the trailing ratios still sit at the
                 # solver's resolution (see the gummel module docstring)
-                mesh = build_box_mesh(cfg.n, BOX_LO, BOX_HI)
                 result = _run_cell(mesh, scheme, tau, cfg, linear_tol=1e-12)
             except TransientAbortError as exc:
                 failure = exc
@@ -252,7 +232,7 @@ def run_contraction_study(cfg: RunConfig, multipliers=None, out_path=None):
             prev_alpha = alpha
         if failure is not None:
             break
-    _write_csv(out_path, header, rows, hash_hex)
+    write_csv(out_path, header, rows, hash_hex)
     if failure is not None:
         raise failure
     return rows
@@ -288,7 +268,7 @@ def run_mmatrix_audit(cfg: RunConfig, out_path=None):
                     ok, d.tau_star,
                 ]
             )
-    _write_csv(out_path, header, rows, hash_hex)
+    write_csv(out_path, header, rows, hash_hex)
     if failure is not None:
         raise failure
     return rows

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import assembly
 from .assembly import SchemeConfig
-from .linalg import NonConvergenceError, SparseMatrix, solve_general, solve_spd, spmv
+from .linalg import NonConvergenceError, solve_general, solve_spd, spmv
 from .mesh import BoxMesh
 
 __all__ = [
@@ -95,24 +95,22 @@ class GummelReport:
 
 @dataclass
 class StepProblem:
-    """Frozen data of one implicit step: operators, loads, boundary values.
+    """Frozen data of one implicit step: loads and boundary values.
 
     ``f_np`` already contains tau * load + mass * previous concentrations;
     the solver only adds the scheme's stabilization contributions (which
-    depend on the iterate's potential) and imposes boundary values.
+    depend on the iterate's potential) and imposes boundary values.  The
+    potential operator is the mesh's own, ``assembly.potential_system``.
     """
 
     mesh: BoxMesh
     cfg: SchemeConfig
     tau: float
     t_next: float
-    poisson_matrix: SparseMatrix          # stiffness with identity boundary rows
     g_phi: np.ndarray                     # potential load vector
-    bc_phi: np.ndarray                    # boundary values at the new level
     f_np: np.ndarray                      # (2, N) concentration right-hand sides
-    bc_p: np.ndarray                      # (2, N) boundary values per species
+    bc: np.ndarray                        # (3, N) boundary values (u, p1, p2) at the new level
     p_level: np.ndarray                   # (2, N) concentrations at the old level
-    mass: np.ndarray                      # (N,) lumped mass: support volume / 4
     source_elem_int: np.ndarray | None = None  # (2, M) per-element source integrals
 
 
@@ -132,23 +130,24 @@ def _failure_context(where: str):
 
 
 def solve_potential(
-    mesh: BoxMesh, cfg: SchemeConfig, matrix: SparseMatrix, load: np.ndarray,
-    mass: np.ndarray, bc: np.ndarray, p, guess: np.ndarray,
+    mesh: BoxMesh, cfg: SchemeConfig, load: np.ndarray, bc: np.ndarray, p, guess: np.ndarray,
 ) -> np.ndarray:
     """Potential for the frozen concentration pair ``p``.
 
-    Solves ``matrix`` (stiffness with identity boundary rows) against
-    load + sum_i z_i * mass * p_i by CG, which verifies the residual, from
-    ``bc`` on the boundary and inside from the exact DST solve of the interior
-    block on a tensor-grid box (0 CG iterations), else from ``guess``.  Every
-    potential solve of a run, sweeps and refreshes alike, goes through here.
+    Solves the mesh's ``assembly.potential_system`` matrix (stiffness with
+    identity boundary rows) against load + sum_i z_i * mass * p_i, mass the
+    lumped volumes / 4, by CG, which verifies the residual, from ``bc`` on the
+    boundary and inside from the exact DST solve of the interior block on a
+    tensor-grid box (0 CG iterations), else from ``guess``.  Every potential
+    solve of a run, sweeps and refreshes alike, goes through here.
     """
     bmask = mesh.boundary
+    matrix, grid = assembly.potential_system(mesh)
+    mass = assembly.lumped_volumes(mesh) / 4.0
     rhs = load.copy()
     for z, p_i in zip(cfg.charges, p):
         rhs += z * (mass * p_i)
     rhs = _impose(rhs, bmask, bc)
-    grid = assembly._grid_solver(mesh)
     x0 = _impose(guess if grid is None else np.zeros(mesh.n_nodes), bmask, bc)
     if grid is not None:
         x0[grid.free] = grid.solve(rhs - spmv(matrix, x0))
@@ -169,10 +168,7 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     bmask = mesh.boundary
 
     prev_p = (iterate.p1, iterate.p2)
-    phi_new = solve_potential(
-        mesh, cfg, problem.poisson_matrix, problem.g_phi, problem.mass,
-        problem.bc_phi, prev_p, iterate.phi,
-    )
+    phi_new = solve_potential(mesh, cfg, problem.g_phi, problem.bc[0], prev_p, iterate.phi)
 
     p_new = []
     for i in range(2):
@@ -184,8 +180,8 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
                 rhs_i += problem.tau * assembly.stab_source_vector(
                     mesh, system, problem.source_elem_int[i]
                 )
-        rhs_i = _impose(rhs_i, bmask, problem.bc_p[i])
-        guess = _impose(prev_p[i], bmask, problem.bc_p[i])
+        rhs_i = _impose(rhs_i, bmask, problem.bc[i + 1])
+        guess = _impose(prev_p[i], bmask, problem.bc[i + 1])
         with _failure_context(f"species {i + 1} solve"):
             sol = solve_general(system.matrix, rhs_i, cfg.linear_tol, cfg.linear_maxit, x0=guess)
         p_new.append(sol.x)

@@ -110,22 +110,6 @@ class SparseMatrix:
         out[self.rows(), self.indices] = self.data
         return out
 
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("coordinate out of range")
-        keys = rows * n + cols
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        data = np.bincount(inverse, weights=vals, minlength=unique_keys.size)
-        indices = unique_keys % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
-        return cls(n, indptr, indices, data, _checked=True)
-
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product y = A x."""
@@ -312,7 +296,6 @@ class MMatrixReport:
     strict_column_exists: bool
     violations: np.ndarray  # (k, 3) float rows (row, column, value)
     column_violations: np.ndarray  # (k, 2) float rows (column, column sum)
-    tol: float = 0.0
 
     @property
     def verdict(self) -> bool:
@@ -355,7 +338,6 @@ def column_mmatrix_check(a: SparseMatrix, rel_tol: float = 1e-12) -> MMatrixRepo
         strict_column_exists=bool(np.any(colsum > tol)),
         violations=violations,
         column_violations=column_violations,
-        tol=tol,
     )
 
 
@@ -369,10 +351,11 @@ def interior_submatrix(a: SparseMatrix, keep: np.ndarray) -> SparseMatrix:
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != (a.n,):
         raise ValueError("keep mask must have one flag per row")
+    sel = keep[a.rows()] & keep[a.indices]
+    kept_before = np.concatenate(([0], np.cumsum(sel)))   # = new slot of a kept entry
+    # the renumbering is monotone, so each row's columns stay sorted
     new_index = np.cumsum(keep) - 1
-    rows = a.rows()
-    sel = keep[rows] & keep[a.indices]
-    return SparseMatrix.from_coo(
-        int(keep.sum()), new_index[rows[sel]], new_index[a.indices[sel]], a.data[sel]
-    )
+    indptr = kept_before[a.indptr[np.append(np.flatnonzero(keep), a.n)]]
+    return SparseMatrix(indptr.size - 1, indptr, new_index[a.indices[sel]], a.data[sel],
+                        _checked=True)
 

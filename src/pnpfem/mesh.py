@@ -223,7 +223,6 @@ class MeshQualityReport:
     ``tet_has_positive_edge``.
     """
 
-    n_tets: int
     zero_tol: float
     positive_fraction: float
     all_strictly_positive: bool
@@ -256,7 +255,6 @@ def mesh_quality_report(mesh: BoxMesh, zero_tol: float | None = None) -> MeshQua
     tet_idx, edge_idx = np.nonzero(~positive)
     violations = np.column_stack((tet_idx, edge_idx, omega[tet_idx, edge_idx]))
     return MeshQualityReport(
-        n_tets=mesh.n_tets,
         zero_tol=zero_tol,
         positive_fraction=float(positive.mean()) if omega.size else 1.0,
         all_strictly_positive=bool(positive.all()),
@@ -267,16 +265,11 @@ def mesh_quality_report(mesh: BoxMesh, zero_tol: float | None = None) -> MeshQua
     )
 
 
-def dump_mesh(mesh: BoxMesh, target) -> None:
+def dump_mesh(mesh: BoxMesh, path) -> None:
     """Write the mesh in plain text: header, one node and one tet per line."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w") if own else target
-    try:
+    with open(path, "w") as fh:
         fh.write(f"nodes {mesh.n_nodes} tets {mesh.n_tets}\n")
         for x, y, z in mesh.nodes:
             fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
         for a, b, c, d in mesh.tets:
             fh.write(f"{a} {b} {c} {d}\n")
-    finally:
-        if own:
-            fh.close()

@@ -6,8 +6,9 @@ those values, forms the concentration right-hand sides
 
     F = tau * load + mass * previous_concentrations
 
-and hands the step to the decoupling iteration.  After convergence the
-potential is refreshed once against the accepted concentrations so the
+and hands the step to the decoupling iteration; every potential solve uses
+the mesh's one operator, ``assembly.potential_system``.  After convergence
+the potential is refreshed once against the accepted concentrations so the
 recorded state satisfies its own discrete potential equation at solver
 tolerance, and the step's operators are audited: concentration bounds, the
 rhs-positivity constants, the critical step size below which the right-hand
@@ -16,6 +17,7 @@ matrices (all on interior unknowns, where the homogeneous Dirichlet theory
 lives).  The verdict is taken on matrices re-assembled at the refreshed,
 accepted potential, not on those of the last sweep, so that it describes
 the operator of the recorded state; this costs two assemblies per step.
+``write_csv`` is the one CSV writer, of the history and of the CLI studies.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "TransientAbortError",
     "bound_constants",
     "run_transient",
+    "write_csv",
     "write_history",
 ]
 
@@ -156,13 +159,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     """
     cfg = scheme_cfg
     tc = transient_cfg
-    bmask = mesh.boundary
-    interior = ~bmask
-
-    a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
-    omega_vol = assembly.lumped_volumes(mesh)
-    mass = omega_vol / 4.0
-
+    mass = assembly.lumped_volumes(mesh) / 4.0
     points = assembly.quadrature_points(mesh)
     p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
     state = State(np.zeros(mesh.n_nodes), p1, p2, 0.0)
@@ -171,7 +168,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     step, where = 0, "initial potential (t = 0)"
     try:
         state.phi = solve_potential(
-            mesh, cfg, a_bc, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]), mass,
+            mesh, cfg, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]),
             _boundary_values(mesh, tc.boundary, 0.0)[0], (p1, p2), state.phi,
         )
         for step in range(tc.n_steps):
@@ -181,7 +178,6 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
             loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
             f_np = tau_n * loads[1:] + mass * state.concentrations()
-            bc = _boundary_values(mesh, tc.boundary, t_next)
             source_elem = None
             if cfg.scheme == "supg":
                 source_elem = assembly.element_integrals(mesh, sources[1:])
@@ -190,13 +186,10 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 cfg=cfg,
                 tau=tau_n,
                 t_next=t_next,
-                poisson_matrix=a_bc,
                 g_phi=loads[0],
-                bc_phi=bc[0],
                 f_np=f_np,
-                bc_p=bc[1:],
+                bc=_boundary_values(mesh, tc.boundary, t_next),
                 p_level=state.concentrations(),
-                mass=mass,
                 source_elem_int=source_elem,
             )
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
@@ -204,8 +197,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 # refresh the potential against the accepted concentrations so
                 # the stored state satisfies its own potential equation
                 new_state.phi = solve_potential(
-                    mesh, cfg, a_bc, problem.g_phi, mass, problem.bc_phi,
-                    (new_state.p1, new_state.p2), new_state.phi,
+                    mesh, cfg, problem.g_phi, problem.bc[0], (new_state.p1, new_state.p2),
+                    new_state.phi,
                 )
             result.reports.append(report)
             if not report.converged:
@@ -217,12 +210,9 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                     partial=result,
                 )
 
-            if interior.any():
+            if not mesh.boundary.all():
                 result.diagnostics.append(
-                    _diagnose(
-                        mesh, cfg, step, t_next, tau_n, state, new_state,
-                        f_np, loads[1:], omega_vol, interior,
-                    )
+                    _diagnose(mesh, cfg, step, t_next, tau_n, state, new_state, f_np, loads[1:])
                 )
             state = new_state
             result.state = state
@@ -234,15 +224,16 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
 
 def _diagnose(
-    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g_np, omega_vol, interior
+    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g_np
 ) -> DiagnosticsRecord:
+    interior = ~mesh.boundary
     f_int = f_np[:, interior].ravel()
     g_int = g_np[:, interior].ravel()
     floor = min(
         float(old_state.p1[interior].min()), float(old_state.p2[interior].min())
     )
     c_j, _, tau_star = bound_constants(
-        f_int, omega_vol[interior], g_int, max(floor, 1e-12)
+        f_int, assembly.lumped_volumes(mesh)[interior], g_int, max(floor, 1e-12)
     )
     verdicts = []
     for i in range(2):
@@ -261,29 +252,33 @@ def _diagnose(
     )
 
 
-def write_history(result: TransientResult, target, config_hash: str | None = None):
-    """History CSV: one row per completed step plus a config-hash trailer."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w") if own else target
-    diag_by_step = {d.step: d for d in result.diagnostics}
-    try:
-        fh.write("step,t,gummel_iterations,alpha_bar,min_p1,min_p2,C_J,tau_star,mmatrix_ok\n")
-        for step, (t, rep) in enumerate(zip(result.times, result.reports)):
-            d = diag_by_step.get(step)
-            cells = [
-                str(step),
-                repr(float(t)),
-                str(rep.iterations),
-                repr(float(rep.alpha_bar)),
-                repr(float(d.min_p1)) if d else "nan",
-                repr(float(d.min_p2)) if d else "nan",
-                repr(float(d.C_J)) if d else "nan",
-                repr(float(d.tau_star)) if d else "nan",
-                ("1" if d.mmatrix_ok else "0") if d else "",
-            ]
-            fh.write(",".join(cells) + "\n")
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def write_csv(path, header, rows, config_hash: str | None = None) -> None:
+    """CSV at ``path``: floats by repr, bools as 1/0, then a config-hash trailer if given."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(c) for c in row) + "\n")
         if config_hash is not None:
             fh.write(f"# config-hash {config_hash}\n")
-    finally:
-        if own:
-            fh.close()
+
+
+def write_history(result: TransientResult, path, config_hash: str | None = None) -> None:
+    """History CSV: one row per completed step; NaN columns where no diagnostics exist."""
+    header = ["step", "t", "gummel_iterations", "alpha_bar",
+              "min_p1", "min_p2", "C_J", "tau_star", "mmatrix_ok"]
+    diag_by_step = {d.step: d for d in result.diagnostics}
+    rows = []
+    for step, (t, rep) in enumerate(zip(result.times, result.reports)):
+        d = diag_by_step.get(step)
+        audit = ([d.min_p1, d.min_p2, d.C_J, d.tau_star, d.mmatrix_ok] if d
+                 else [math.nan] * 4 + [""])
+        rows.append([step, float(t), rep.iterations, float(rep.alpha_bar), *audit])
+    write_csv(path, header, rows, config_hash)

@@ -6,8 +6,9 @@ transform, default 6^3 points, exact far beyond degree 8 for polynomials),
 barycentric coordinates come from solving the 4x4 vertex system per element,
 and edge averages of exponentials come from 64-point Gauss on the edge.
 Dense matrices, Python loops over elements; meant for meshes with at most a
-few hundred nodes.  ``csr_from_dense`` is the one bridge back into the
-package's CSR type, for tests that hand-build small sparse matrices, and
+few hundred nodes.  ``from_coo`` and ``csr_from_dense`` are the bridges back
+into the package's CSR type, for tests that hand-build small sparse matrices
+and for the reference build of ``interior_submatrix``, and
 ``eafe_per_tet`` keeps the package's former per-tet eafe kernel (it uses the
 package's ``bernoulli``) as a reference for the per-edge assembly.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
@@ -201,11 +202,34 @@ def oracle_supg_parts(mesh, phi, c, tau_tilde, q: int = 6):
     return a_stream, s_time, node_w
 
 
+def from_coo(n, rows, cols, vals):
+    """CSR matrix from coordinate triplets; duplicate entries are summed."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=float)
+    if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
+        raise ValueError("coordinate out of range")
+    keys = rows * n + cols
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    data = np.bincount(inverse, weights=vals, minlength=unique_keys.size)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
+    return SparseMatrix(n, indptr, unique_keys % n, data)
+
+
+def interior_submatrix_coo(a, keep):
+    """Principal submatrix on ``keep``, rebuilt from its triplets by ``from_coo``."""
+    new_index = np.cumsum(keep) - 1
+    rows = a.rows()
+    sel = keep[rows] & keep[a.indices]
+    return from_coo(int(keep.sum()), new_index[rows[sel]], new_index[a.indices[sel]], a.data[sel])
+
+
 def csr_from_dense(a):
     """CSR matrix holding the nonzero entries of a square dense array."""
     a = np.asarray(a, dtype=float)
     rows, cols = np.nonzero(a)
-    return SparseMatrix.from_coo(a.shape[0], rows, cols, a[rows, cols])
+    return from_coo(a.shape[0], rows, cols, a[rows, cols])
 
 
 def dirichlet_rows(a, mask):

@@ -436,7 +436,7 @@ def test_eafe_entries_match_edge_quadrature():
                                    (4, (1.0, 2.0, 3.0))])
 def test_grid_solver_is_the_exact_interior_inverse(n, hi):
     mesh = build_box_mesh(n, (0.0,) * 3, hi)
-    grid = assembly._grid_solver(mesh)
+    grid = assembly.potential_system(mesh)[1]
     h = np.array(hi) / n
     assert grid.shape == (n - 1,) * 3
     assert np.allclose(grid.coupling, h.prod() / h**2, rtol=1e-13, atol=0.0)
@@ -473,7 +473,22 @@ def all_boundary_box(n=3):
     ids=["jittered", "graded", "renumbered", "all_boundary", "no_interior"],
 )
 def test_grid_solver_declines_other_meshes(make):
-    assert assembly._grid_solver(make()) is None
+    assert assembly.potential_system(make())[1] is None
+
+
+@pytest.mark.parametrize("make, on_grid",
+                         [(lambda: build_box_mesh(3), True), (jittered_box, False)])
+def test_potential_system_is_built_once_per_mesh(make, on_grid):
+    mesh = make()
+    stiffness = assemble_stiffness(mesh)
+    matrix, grid = system = assembly.potential_system(mesh)
+    assert assembly.potential_system(mesh) is system
+    assert (grid is not None) == on_grid
+    expect = apply_dirichlet_rows(stiffness, mesh.boundary)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, name), getattr(expect, name))
+    # building it leaves the workspace stiffness untouched
+    assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
 
 
 def summed_edge_weights(mesh):

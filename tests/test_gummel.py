@@ -22,7 +22,6 @@ BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 def build_problem(mesh, scfg, tc, prev, t_next, tau):
     bmask = mesh.boundary
-    a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
     ov = assembly.lumped_volumes(mesh)
 
     bc = np.zeros((3, mesh.n_nodes))
@@ -40,13 +39,10 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
         cfg=scfg,
         tau=tau,
         t_next=t_next,
-        poisson_matrix=a_bc,
         g_phi=g_phi,
-        bc_phi=bc[0],
         f_np=f_np,
-        bc_p=bc[1:],
+        bc=bc,
         p_level=prev.concentrations(),
-        mass=ov / 4.0,
         source_elem_int=source_elem,
     )
 
@@ -98,17 +94,16 @@ def test_solve_potential_is_the_sweep_potential_solve():
     prev = State(np.zeros(n), rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), 0.0)
     problem = build_problem(mesh, scfg, tc, prev, 0.01, 0.01)
     bmask = mesh.boundary
-    phi = solve_potential(
-        mesh, scfg, problem.poisson_matrix, problem.g_phi, problem.mass,
-        problem.bc_phi, (prev.p1, prev.p2), prev.phi,
-    )
+    phi = solve_potential(mesh, scfg, problem.g_phi, problem.bc[0], (prev.p1, prev.p2), prev.phi)
     # boundary rows hold the g_u data exactly
     assert np.array_equal(phi[bmask], tc.boundary(mesh.nodes[bmask], 0.01)[0])
     rhs = problem.g_phi.copy()
+    mass = assembly.lumped_volumes(mesh) / 4.0
     for z, p_i in zip(scfg.charges, (prev.p1, prev.p2)):
-        rhs += z * (problem.mass * p_i)
-    rhs[bmask] = problem.bc_phi[bmask]
-    residual = np.linalg.norm(rhs - spmv(problem.poisson_matrix, phi))
+        rhs += z * (mass * p_i)
+    rhs[bmask] = problem.bc[0][bmask]
+    matrix = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), bmask)
+    residual = np.linalg.norm(rhs - spmv(matrix, phi))
     assert residual <= scfg.linear_tol * np.linalg.norm(rhs)
     # the sweep solves the same system the same way, bit for bit
     assert np.array_equal(gummel_step(problem, prev).phi, phi)
@@ -204,7 +199,7 @@ def test_linear_solver_failure_carries_sweep_index():
     # enough interior unknowns that one CG iteration cannot converge; the
     # jittered mesh is no tensor grid, so CG starts from the warm start
     mesh = jittered_box(4)
-    assert assembly._grid_solver(mesh) is None
+    assert assembly.potential_system(mesh)[1] is None
     tc = transient_problem(T=0.01, tau=0.01)
     n = mesh.n_nodes
     prev = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
@@ -224,7 +219,7 @@ def potential_data(mesh, seed=0):
     mass = assembly.lumped_volumes(mesh) / 4.0
     rhs = load + mass * (p1 - p2)
     rhs[mesh.boundary] = bc[mesh.boundary]
-    return matrix, load, mass, bc, (p1, p2), rhs
+    return matrix, load, bc, (p1, p2), rhs
 
 
 def record_potential_solves(monkeypatch):
@@ -242,9 +237,9 @@ def record_potential_solves(monkeypatch):
 def test_potential_solve_on_a_grid_needs_no_cg_iteration(monkeypatch, n, hi):
     mesh = build_box_mesh(n, (-0.5,) * 3, hi)
     scfg = scheme_config("fem", linear_tol=1e-13)
-    matrix, load, mass, bc, p, rhs = potential_data(mesh)
+    matrix, load, bc, p, rhs = potential_data(mesh)
     results = record_potential_solves(monkeypatch)
-    phi = solve_potential(mesh, scfg, matrix, load, mass, bc, p, np.zeros(mesh.n_nodes))
+    phi = solve_potential(mesh, scfg, load, bc, p, np.zeros(mesh.n_nodes))
     assert [r.iterations for r in results] == [0]
     assert np.linalg.norm(spmv(matrix, phi) - rhs) <= scfg.linear_tol * np.linalg.norm(rhs)
 
@@ -252,21 +247,21 @@ def test_potential_solve_on_a_grid_needs_no_cg_iteration(monkeypatch, n, hi):
 def test_potential_solve_verifies_a_wrong_grid_guess(monkeypatch):
     mesh = build_box_mesh(5, *BOX)
     scfg = scheme_config("fem")
-    grid = assembly._grid_solver(mesh)
+    grid = assembly.potential_system(mesh)[1]
     eig = grid.eig.copy()
     eig[0, 0, 0] *= 2.0
     monkeypatch.setattr(grid, "eig", eig)
-    matrix, load, mass, bc, p, rhs = potential_data(mesh)
+    matrix, load, bc, p, rhs = potential_data(mesh)
     results = record_potential_solves(monkeypatch)
-    phi = solve_potential(mesh, scfg, matrix, load, mass, bc, p, np.zeros(mesh.n_nodes))
+    phi = solve_potential(mesh, scfg, load, bc, p, np.zeros(mesh.n_nodes))
     assert results[0].iterations > 0
     assert np.linalg.norm(spmv(matrix, phi) - rhs) <= scfg.linear_tol * np.linalg.norm(rhs)
 
 
 def test_potential_solve_without_interior_returns_the_boundary_data():
     mesh = build_box_mesh(1, *BOX)
-    matrix, load, mass, bc, p, _ = potential_data(mesh)
-    phi = solve_potential(mesh, scheme_config("fem"), matrix, load, mass, bc, p, np.zeros(8))
+    matrix, load, bc, p, _ = potential_data(mesh)
+    phi = solve_potential(mesh, scheme_config("fem"), load, bc, p, np.zeros(8))
     assert np.array_equal(phi, bc)
 
 

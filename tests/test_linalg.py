@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import csr_from_dense
+from oracles import csr_from_dense, from_coo, interior_submatrix_coo
 from pnpfem import linalg
 from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
 from pnpfem.linalg import (
@@ -50,7 +50,7 @@ def test_csr_validation_matches_row_loop():
 
 
 def test_from_coo_sums_duplicates():
-    a = SparseMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
+    a = from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
     assert a.nnz == 2
     dense = a.to_dense()
     assert dense[0, 1] == 5.0 and dense[1, 0] == -1.0
@@ -251,3 +251,38 @@ def test_interior_submatrix_values():
     assert sub.n == 2
     assert np.array_equal(sub.to_dense(), np.array([[1.0, 3.0], [9.0, 11.0]]))
 
+
+
+def assert_same_csr(a, b):
+    assert a.n == b.n
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_interior_submatrix_matches_coo_build_on_assembled_matrices(scheme):
+    mesh = build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3)
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    a = assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0, 0.05).matrix
+    for keep in (~mesh.boundary, rng.random(mesh.n_nodes) < 0.5):
+        assert_same_csr(interior_submatrix(a, keep), interior_submatrix_coo(a, keep))
+
+
+def test_interior_submatrix_matches_coo_build_on_random_masks():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        dense = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0)
+        dense[int(rng.integers(n))] = 0.0                     # an empty row
+        a = csr_from_dense(dense)
+        for keep in (rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
+            sub = interior_submatrix(a, keep)
+            assert_same_csr(sub, interior_submatrix_coo(a, keep))
+            assert np.array_equal(sub.to_dense(), dense[np.ix_(keep, keep)])
+    # kept rows whose every stored entry sits in a dropped column
+    a = csr_from_dense(np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 0.0], [0.0, 4.0, 0.0]]))
+    keep = np.array([True, False, True])
+    sub = interior_submatrix(a, keep)
+    assert_same_csr(sub, interior_submatrix_coo(a, keep))
+    assert sub.nnz == 0 and sub.indptr.tolist() == [0, 0, 0]

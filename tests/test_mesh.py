@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -138,11 +136,10 @@ def test_mesh_size_is_max_diameter():
     assert m.h == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-14)
 
 
-def test_dump_mesh_format():
+def test_dump_mesh_format(tmp_path):
     m = build_box_mesh(1)
-    buf = io.StringIO()
-    dump_mesh(m, buf)
-    lines = buf.getvalue().strip().split("\n")
+    dump_mesh(m, tmp_path / "mesh.txt")
+    lines = (tmp_path / "mesh.txt").read_text().strip().split("\n")
     assert lines[0] == "nodes 8 tets 6"
     assert len(lines) == 1 + 8 + 6
     x, y, z = (float(v) for v in lines[1].split())

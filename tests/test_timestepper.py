@@ -1,9 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from pnpfem import assembly, timestepper
+from pnpfem import assembly, gummel, timestepper
 from pnpfem.linalg import NonConvergenceError, spmv
 from pnpfem.manufactured import scheme_config, transient_problem
 from pnpfem.mesh import build_box_mesh
@@ -279,15 +277,14 @@ def test_positivity_with_positive_initial_data():
     assert all(d.tau_star == float("inf") for d in result.diagnostics)
 
 
-def test_write_history_format():
+def test_write_history_format(tmp_path):
     mesh = build_box_mesh(2, *BOX)
     tau = 0.01
     result = run_transient(
         mesh, scheme_config("eafe"), transient_problem(T=0.03, tau=tau)
     )
-    buf = io.StringIO()
-    write_history(result, buf, config_hash="abc123")
-    lines = buf.getvalue().strip().split("\n")
+    write_history(result, tmp_path / "history.csv", config_hash="abc123")
+    lines = (tmp_path / "history.csv").read_text().strip().split("\n")
     assert lines[0] == "step,t,gummel_iterations,alpha_bar,min_p1,min_p2,C_J,tau_star,mmatrix_ok"
     assert len(lines) == 1 + 3 + 1
     assert lines[-1] == "# config-hash abc123"
@@ -306,3 +303,23 @@ def test_determinism_across_runs():
     assert np.array_equal(r1.state.phi, r2.state.phi)
     for a, b in zip(r1.reports, r2.reports):
         assert np.array_equal(a.ratios, b.ratios)
+
+
+def test_every_potential_solve_verifies_the_mesh_potential_system(monkeypatch):
+    mesh = build_box_mesh(3, *BOX)
+    system = assembly.potential_system(mesh)
+    matrices, solve = [], gummel.solve_spd
+
+    def recording(a, *args, **kwargs):
+        matrices.append(a)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(gummel, "solve_spd", recording)
+    tc = transient_problem(T=0.02, tau=0.01)
+    reports = []
+    for scheme in ("fem", "eafe"):
+        reports += run_transient(mesh, scheme_config(scheme), tc).reports
+    assert assembly.potential_system(mesh) is system
+    # per run: the t = 0 solve, one per sweep and the refresh of every step
+    assert len(matrices) == 2 + sum(r.iterations + 1 for r in reports)
+    assert all(a is system[0] for a in matrices)
