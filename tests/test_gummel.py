@@ -14,7 +14,7 @@ from pnpfem.gummel import (
     solve_potential,
 )
 from pnpfem.linalg import NonConvergenceError, spmv
-from pnpfem.manufactured import scheme_config, transient_problem
+from pnpfem.manufactured import exact_eval, scheme_config, transient_problem
 from pnpfem.mesh import build_box_mesh
 
 BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -113,27 +113,28 @@ def test_iterates_match_dense_oracle_pipeline():
     # reference implementation of the decoupled iteration: dense matrices
     # from the quadrature oracle, numpy direct solves
     mesh = build_box_mesh(4, *BOX)
-    tc = transient_problem(T=0.25, tau=(1.0 / 4.0) ** 2)
-    tau = t_next = (1.0 / 4.0) ** 2
+    tau = (1.0 / 4.0) ** 2
+    tc = transient_problem(T=0.25, tau=tau)
     bmask = mesh.boundary
-    n = mesh.n_nodes
-    prev = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
+    charges, drift = (1.0, -1.0), (0.179, -0.179)
 
     a_dense = oracles.dirichlet_rows(oracles.oracle_stiffness(mesh), bmask)
     lump = oracles.oracle_lumped_mass(mesh)
 
-    for scheme, charges, drift in (
-        ("fem", (1.0, -1.0), (0.179, -0.179)),
-        ("eafe", (1.0, -1.0), (0.179, -0.179)),
-    ):
+    # supg starts from the exact carriers at t = 0.1, so its previous-level
+    # term is not zero
+    for scheme, t_prev in (("fem", 0.0), ("eafe", 0.0), ("supg", 0.1)):
+        t_next = t_prev + tau
+        prev = State(*(exact_eval(f, mesh.nodes, t_prev)[0] for f in ("u", "p", "n")), t_prev)
         scfg = scheme_config(scheme, linear_tol=1e-13)
         problem = build_problem(mesh, scfg, tc, prev, t_next, tau)
         # the algebraic iteration acts on given load vectors; take them from
         # the problem so only the matrices and the sweep structure differ
         # (load assembly is oracle-verified separately)
         g_phi = problem.g_phi
+        sources = np.asarray(tc.sources(assembly.quadrature_points(mesh), t_next))
+        source_int = assembly.element_integrals(mesh, sources[1:])
 
-        phi_ref = prev.phi.copy()
         p_ref = [prev.p1.copy(), prev.p2.copy()]
         state = State(prev.phi.copy(), prev.p1.copy(), prev.p2.copy(), t_next)
         for sweep in range(3):
@@ -144,6 +145,10 @@ def test_iterates_match_dense_oracle_pipeline():
             for i, c_i in enumerate(drift):
                 mat = oracles.oracle_np_matrix(mesh, phi_ref, c_i, tau, scheme)
                 rhs_i = problem.f_np[i].copy()
+                if scheme == "supg":
+                    _, s_time, node_w = oracles.oracle_supg_parts(mesh, phi_ref, c_i, 1.0)
+                    rhs_i += s_time @ prev.concentrations()[i]
+                    np.add.at(rhs_i, mesh.tets, tau * node_w * source_int[i][:, None])
                 rhs_i[bmask] = tc.boundary(mesh.nodes[bmask], t_next)[1 + i]
                 p_ref[i] = np.linalg.solve(mat, rhs_i)
             # production sweep
