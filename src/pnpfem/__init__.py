@@ -10,7 +10,6 @@ the monotone-matrix structure that underpins discrete positivity.
 from .assembly import (
     AssembledNP,
     SchemeConfig,
-    assemble_convection,
     assemble_load,
     assemble_np,
     assemble_stiffness,

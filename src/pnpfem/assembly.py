@@ -13,8 +13,11 @@ and the contract
 
 where ``transport`` is the plain Galerkin convection-diffusion operator, its
 streamline-stabilized variant, or the exponentially fitted (edge-averaged)
-operator.  With a zero potential all three collapse to mass + tau * A_L,
-which is the normative check pinning all sign and index conventions.
+operator.  fem and supg are one pass over the elements that scatters one
+local matrix; eafe is assembled per edge.  supg also changes the right-hand
+side, by the one per-element load of ``stab_source_vector``.  With a zero
+potential all three collapse to mass + tau * A_L, which is the normative
+check pinning all sign and index conventions.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "apply_dirichlet_rows",
     "lumped_volumes",
     "potential_system",
-    "assemble_convection",
     "quadrature_points",
     "assemble_load",
     "element_integrals",
@@ -280,23 +282,6 @@ def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
     return _workspace(mesh).lumped.copy()
 
 
-def assemble_convection(mesh: BoxMesh, phi: np.ndarray) -> SparseMatrix:
-    """Convection matrix C(phi)_ij = (psi_j grad(phi_h), grad(psi_i)).
-
-    The potential gradient is constant per element and integral of psi_j is
-    vol/4, so entries are exact.  Column sums vanish before boundary
-    treatment.
-    """
-    phi = _check_dof(mesh, phi, "phi")
-    ws = _workspace(mesh)
-    geo = mesh.geometry
-    gl = geo.grad_lambda
-    gphi = np.einsum("mk,mkd->md", phi[mesh.tets], gl)
-    rowvals = 0.25 * geo.volumes[:, None] * np.einsum("md,mid->mi", gphi, gl)
-    local = np.broadcast_to(rowvals[:, :, None], (mesh.n_tets, 4, 4))
-    return ws.pattern.with_data(ws._scatter(local))
-
-
 def quadrature_points(mesh: BoxMesh, order: int = 2) -> np.ndarray:
     """Points of the degree-``order`` rule, (M*Q, 3), element by element."""
     pts, _ = rule_for_order(order)
@@ -361,53 +346,23 @@ class AssembledNP:
     """One species' concentration system for a single implicit step.
 
     ``matrix`` is mass + tau * transport (constrained rows already replaced
-    by identity rows when requested).  The stabilized scheme additionally
-    exposes the operators needed for its right-hand-side terms:
-    ``stab_matrix`` applies to the previous concentration vector and
-    ``stab_grad_weights`` (one weight per element corner) turns per-element
-    source integrals into the stabilization load.
+    by identity rows when requested).  For supg, ``stab_grad_weights`` holds
+    w_K.grad(psi_i), one weight per element corner, with which
+    ``stab_source_vector`` builds the scheme's right-hand-side term; None for
+    fem and eafe.
     """
 
     matrix: SparseMatrix
-    stab_matrix: SparseMatrix | None = None
     stab_grad_weights: np.ndarray | None = None
 
 
-def _check_dof(mesh: BoxMesh, v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"{name} must have one entry per node ({mesh.n_nodes}), got shape {v.shape}"
-        )
-    return v
-
-
-def _supg_element_terms(mesh: BoxMesh, phi: np.ndarray, c_i: float, supg_scale: float):
-    """Streamline matrices, time-difference row values and w_K.grad(psi_i)."""
-    geo = mesh.geometry
-    gl = geo.grad_lambda
-    gphi = np.einsum("mk,mkd->md", phi[mesh.tets], gl)          # (M, 3)
-    speed = np.abs(c_i) * np.linalg.norm(gphi, axis=1)          # |c grad(phi)| per tet
-    h_k = geo.diameters
-    peclet = 0.5 * h_k * speed
-    safe = np.where(speed > 0.0, speed, 1.0)
-    c_k = np.where(
-        peclet >= 1.0,
-        supg_scale * h_k / (2.0 * safe),
-        supg_scale * h_k * h_k / 4.0,
-    )
-    w_k = -c_i * c_k[:, None] * gphi                            # (M, 3)
-    d = np.einsum("md,mid->mi", gphi, gl)                       # grad(phi).grad(psi_i)
-    wgrad = np.einsum("md,mid->mi", w_k, gl)                    # w_K.grad(psi_i)
-    stream = np.einsum("m,mi,mj->mij", -c_i * geo.volumes, wgrad, d)
-    svals = 0.25 * geo.volumes[:, None] * wgrad                 # (M, 4) row values
-    return stream, svals, wgrad
-
-
 def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarray) -> np.ndarray:
-    """Stabilization load from per-element source integrals."""
-    if assembled.stab_grad_weights is None:
-        return np.zeros(mesh.n_nodes)
+    """The supg load sum_K (w_K.grad psi_i) elem_int_K of a supg system.
+
+    With elem_int_K = int_K (p^n_h + tau F) this is all the scheme adds to
+    tau * load + mass * p^n: w_K.grad psi_i is constant on K, so it is the
+    time term (p^n_h, w_K.grad psi_i) plus tau (F, w_K.grad psi_i).
+    """
     w = assembled.stab_grad_weights * np.asarray(elem_int, dtype=float)[:, None]
     return np.bincount(mesh.tets.ravel(), weights=w.ravel(), minlength=mesh.n_nodes)
 
@@ -422,35 +377,49 @@ def assemble_np(
 ) -> AssembledNP:
     """One species' system, lumped mass + tau * transport(phi), for cfg.scheme.
 
-    With c = ``cfg.drift[species]`` the transport is A_L + c C(phi) (fem),
-    the same plus the residual-based element terms (supg; the operators of
-    its source and previous-level parts are returned for the stepper), or
-    the edge-averaged operator (eafe, per edge on the pruned pattern of
-    ``_EdgeTable``).  The mass stays lumped: positive off-diagonal entries
-    of a consistent mass would break the eafe column M-matrix property.
+    With c = ``cfg.drift[species]``, fem and supg take one pass over the
+    elements.  d_i = grad(phi_h).grad(psi_i) is constant on each tet K.  fem
+    adds to tau A_L the local matrix of tau c C(phi), whose rows are the
+    constant tau c vol_K d_i / 4; supg adds tau c^2 c_K vol_K d_i d_j
+    (streamline) and -c c_K vol_K d_i / 4 (time rows) to the same local
+    matrix, so fem is supg with c_K = 0.  supg also returns w_K.grad(psi_i)
+    = -c c_K d_i for ``stab_source_vector``.  eafe is the edge-averaged
+    operator, per edge on the pruned pattern of ``_EdgeTable``.  The mass
+    stays lumped: positive off-diagonal entries of a consistent mass would
+    break the eafe column M-matrix property.
     """
-    phi = _check_dof(mesh, phi, "phi")
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (mesh.n_nodes,):
+        raise ValueError(f"phi must have one entry per node ({mesh.n_nodes}), got {phi.shape}")
     if not tau > 0:
         raise ValueError("tau must be positive")
     ws = _workspace(mesh)
-    c_i = cfg.drift[species]
-    if cfg.scheme == "eafe" and ws._edges is None:
-        ws._edges = _EdgeTable(ws)
-    space = ws._edges if cfg.scheme == "eafe" else ws
-    data = np.zeros(space.pattern.nnz)
-    data[space.diag_slots] = ws.lumped / 4.0
+    c = cfg.drift[species]
+    stab_w = None
     if cfg.scheme == "eafe":
-        data += tau * space.transport(phi, c_i)
+        if ws._edges is None:
+            ws._edges = _EdgeTable(ws)
+        space = ws._edges
+        data = tau * space.transport(phi, c)
     else:
-        data += tau * (ws.stiffness_data + c_i * assemble_convection(mesh, phi).data)
-    stab = stab_w = None
-    if cfg.scheme == "supg":
-        stream, svals, stab_w = _supg_element_terms(mesh, phi, c_i, cfg.supg_scale)
-        data += tau * ws._scatter(stream)
-        s_data = ws._scatter(np.broadcast_to(svals[:, :, None], (mesh.n_tets, 4, 4)))
-        data += s_data
-        stab = ws.pattern.with_data(s_data)
+        space, geo = ws, mesh.geometry
+        gphi = np.einsum("mk,mkd->md", phi[mesh.tets], geo.grad_lambda)   # (M, 3)
+        d = np.einsum("md,mid->mi", gphi, geo.grad_lambda)               # (M, 4)
+        quarter_vol = 0.25 * geo.volumes[:, None]                       # int_K psi_j
+        row_vals, stream = tau * c * quarter_vol * d, 0.0
+        if cfg.scheme == "supg":
+            speed = np.abs(c) * np.linalg.norm(gphi, axis=1)             # |c grad(phi)| per tet
+            h_k = geo.diameters
+            safe = np.where(speed > 0.0, speed, 1.0)
+            c_k = np.where(0.5 * h_k * speed >= 1.0,                     # cell Peclet number
+                           cfg.supg_scale * h_k / (2.0 * safe), cfg.supg_scale * h_k * h_k / 4.0)
+            stab_w = -c * c_k[:, None] * d                               # w_K.grad(psi_i)
+            row_vals = row_vals + quarter_vol * stab_w
+            stream = (-tau * c * geo.volumes)[:, None, None] * stab_w[:, :, None] * d[:, None, :]
+        local = np.broadcast_to(row_vals[:, :, None] + stream, (mesh.n_tets, 4, 4))
+        data = tau * ws.stiffness_data + ws._scatter(local)
+    data[space.diag_slots] += ws.lumped / 4.0
     if apply_dirichlet:
         data = np.where(mesh.boundary[space.pattern.rows()], 0.0, data)
         data[space.diag_slots[mesh.boundary]] = 1.0
-    return AssembledNP(space.pattern.with_data(data), stab, stab_w)
+    return AssembledNP(space.pattern.with_data(data), stab_w)

@@ -3,11 +3,13 @@
 Each sweep first solves the potential equation with the concentrations of
 the previous sweep frozen, then solves the two concentration systems with
 the fresh potential frozen.  The iteration logic is scheme-agnostic: the
-only scheme dependence sits behind ``assembly.assemble_np``.
+only scheme dependence sits behind ``assembly.assemble_np``, whose supg
+systems carry the weights of their one extra load,
+``assembly.stab_source_vector``.
 
-Instrumentation: per-sweep increments are recorded in both the Euclidean
-norm on nodal vectors (used by the stopping test) and the max norm, whose
-successive ratios measure the contraction factor of the fixed-point map.
+Instrumentation: per-sweep increments are recorded in the Euclidean norm on
+nodal vectors (used by the stopping test); the successive ratios of their
+max norms measure the contraction factor of the fixed-point map.
 
 The last ratios of each step are limited by the resolution of the
 concentration solves, not by the map.  Their residual target is
@@ -66,9 +68,9 @@ class State:
 class GummelReport:
     """Per-step iteration record.
 
-    ``increments_l2``/``increments_max`` hold one row per sweep with columns
-    (dP1, dP2, dPhi).  ``ratios`` are the successive max-norm ratios of the
-    stacked concentration increments, defined from the second sweep on;
+    ``increments_l2`` holds one row per sweep with columns (dP1, dP2, dPhi).
+    ``ratios`` are the successive max-norm ratios of the stacked
+    concentration increments, defined from the second sweep on;
     ``alpha_bar`` is the mean of the nonzero ratios (NaN when none exists).
     An exactly zero ratio means an iterate froze at the Krylov solver's
     resolution, which carries no contraction information, so zeros are kept
@@ -81,7 +83,6 @@ class GummelReport:
     iterations: int
     converged: bool
     increments_l2: np.ndarray
-    increments_max: np.ndarray
     ratios: np.ndarray
     alpha_bar: float
 
@@ -98,9 +99,10 @@ class StepProblem:
     """Frozen data of one implicit step: loads and boundary values.
 
     ``f_np`` already contains tau * load + mass * previous concentrations;
-    the solver only adds the scheme's stabilization contributions (which
-    depend on the iterate's potential) and imposes boundary values.  The
-    potential operator is the mesh's own, ``assembly.potential_system``.
+    the solver only adds the supg load (its weights depend on the iterate's
+    potential) from ``p_tau_f_elem_int``, the per-element integrals
+    int_K (p^n_h + tau F_i), and imposes boundary values.  The potential
+    operator is the mesh's own, ``assembly.potential_system``.
     """
 
     mesh: BoxMesh
@@ -110,8 +112,7 @@ class StepProblem:
     g_phi: np.ndarray                     # potential load vector
     f_np: np.ndarray                      # (2, N) concentration right-hand sides
     bc: np.ndarray                        # (3, N) boundary values (u, p1, p2) at the new level
-    p_level: np.ndarray                   # (2, N) concentrations at the old level
-    source_elem_int: np.ndarray | None = None  # (2, M) per-element source integrals
+    p_tau_f_elem_int: np.ndarray | None = None  # (2, M) int_K (p^n + tau F), supg only
 
 
 def _impose(values: np.ndarray, mask: np.ndarray, bc: np.ndarray) -> np.ndarray:
@@ -173,13 +174,9 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     p_new = []
     for i in range(2):
         system = assembly.assemble_np(mesh, phi_new, cfg, i, problem.tau)
-        rhs_i = problem.f_np[i].copy()
-        if system.stab_matrix is not None:
-            rhs_i += spmv(system.stab_matrix, problem.p_level[i])
-            if problem.source_elem_int is not None:
-                rhs_i += problem.tau * assembly.stab_source_vector(
-                    mesh, system, problem.source_elem_int[i]
-                )
+        rhs_i = problem.f_np[i]
+        if system.stab_grad_weights is not None:
+            rhs_i = rhs_i + assembly.stab_source_vector(mesh, system, problem.p_tau_f_elem_int[i])
         rhs_i = _impose(rhs_i, bmask, problem.bc[i + 1])
         guess = _impose(prev_p[i], bmask, problem.bc[i + 1])
         with _failure_context(f"species {i + 1} solve"):
@@ -209,7 +206,6 @@ def gummel_solve(
 
     state = State(prev.phi.copy(), prev.p1.copy(), prev.p2.copy(), problem.t_next)
     inc_l2: list[tuple[float, float, float]] = []
-    inc_max: list[tuple[float, float, float]] = []
     stacked_inf: list[float] = []
     converged = False
     for sweep in range(maxit):
@@ -225,14 +221,7 @@ def gummel_solve(
                 float(np.linalg.norm(dphi)),
             )
         )
-        inc_max.append(
-            (
-                float(np.abs(d1).max()),
-                float(np.abs(d2).max()),
-                float(np.abs(dphi).max()),
-            )
-        )
-        stacked_inf.append(max(inc_max[-1][0], inc_max[-1][1]))
+        stacked_inf.append(max(float(np.abs(d1).max()), float(np.abs(d2).max())))
         state = new
         if sum(inc_l2[-1]) <= eps:
             converged = True
@@ -250,7 +239,6 @@ def gummel_solve(
         iterations=len(inc_l2),
         converged=converged,
         increments_l2=np.array(inc_l2).reshape(-1, 3),
-        increments_max=np.array(inc_max).reshape(-1, 3),
         ratios=ratios,
         alpha_bar=float(nonzero.mean()) if nonzero.size else float("nan"),
     )

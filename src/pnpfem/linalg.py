@@ -105,11 +105,6 @@ class SparseMatrix:
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.indices, weights=self.data, minlength=self.n)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[self.rows(), self.indices] = self.data
-        return out
-
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product y = A x."""

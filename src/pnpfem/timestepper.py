@@ -6,8 +6,10 @@ those values, forms the concentration right-hand sides
 
     F = tau * load + mass * previous_concentrations
 
-and hands the step to the decoupling iteration; every potential solve uses
-the mesh's one operator, ``assembly.potential_system``.  After convergence
+(for supg also the per-element integrals of previous_concentrations +
+tau * source, from which its one extra load is built) and hands the step to
+the decoupling iteration; every potential solve uses the mesh's one
+operator, ``assembly.potential_system``.  After convergence
 the potential is refreshed once against the accepted concentrations so the
 recorded state satisfies its own discrete potential equation at solver
 tolerance, and the step's operators are audited: concentration bounds, the
@@ -178,9 +180,10 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
             loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
             f_np = tau_n * loads[1:] + mass * state.concentrations()
-            source_elem = None
-            if cfg.scheme == "supg":
-                source_elem = assembly.element_integrals(mesh, sources[1:])
+            stab_int = None
+            if cfg.scheme == "supg":   # int_K (p^n_h + tau F); int_K psi_j = vol / 4
+                p_int = 0.25 * mesh.geometry.volumes * state.concentrations()[:, mesh.tets].sum(-1)
+                stab_int = p_int + tau_n * assembly.element_integrals(mesh, sources[1:])
             problem = StepProblem(
                 mesh=mesh,
                 cfg=cfg,
@@ -189,8 +192,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 g_phi=loads[0],
                 f_np=f_np,
                 bc=_boundary_values(mesh, tc.boundary, t_next),
-                p_level=state.concentrations(),
-                source_elem_int=source_elem,
+                p_tau_f_elem_int=stab_int,
             )
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
             if report.converged:

@@ -4,16 +4,20 @@ Everything here deliberately avoids the package's assembly paths: volume
 quadrature is tensor Gauss-Legendre collapsed onto each tetrahedron (Duffy
 transform, default 6^3 points, exact far beyond degree 8 for polynomials),
 barycentric coordinates come from solving the 4x4 vertex system per element,
-and edge averages of exponentials come from 64-point Gauss on the edge.
+and edge averages of exponentials come from 64-point Gauss on the edge; each
+Gauss-Legendre rule is computed once per size.
 Dense matrices, Python loops over elements; meant for meshes with at most a
-few hundred nodes.  ``from_coo`` and ``csr_from_dense`` are the bridges back
-into the package's CSR type, for tests that hand-build small sparse matrices
-and for the reference build of ``interior_submatrix``, and
+few hundred nodes.  ``from_coo`` and ``csr_from_dense`` are the bridges into
+the package's CSR type, for tests that hand-build small sparse matrices and
+for the reference build of ``interior_submatrix``, ``to_dense`` the bridge
+out of it, and
 ``eafe_per_tet`` keeps the package's former per-tet eafe kernel (it uses the
 package's ``bernoulli``) as a reference for the per-edge assembly.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
 code paths must decline.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +28,19 @@ from pnpfem.mesh import BoxMesh, build_box_mesh
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def duffy_rule(q: int = 6):
-    """Points/weights integrating over the reference tet {x,y,z>=0, sum<=1}."""
+@lru_cache(maxsize=None)
+def gauss_legendre_unit(q: int):
+    """q-point Gauss-Legendre nodes and weights on [0, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(q)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def duffy_rule(q: int = 6):
+    """Points/weights integrating over the reference tet {x,y,z>=0, sum<=1}."""
+    x, w = gauss_legendre_unit(q)
     u, v, s = (a.ravel() for a in np.meshgrid(x, x, x, indexing="ij"))
     wu, wv, ws = (a.ravel() for a in np.meshgrid(w, w, w, indexing="ij"))
     xi = u
@@ -119,9 +131,7 @@ def oracle_load(mesh, g, t, q: int = 6):
 
 def oracle_harmonic_average(a, b, q: int = 64):
     """[(1/|E|) integral_E exp(linear with endpoint values a, b) ds]^{-1}."""
-    s, w = np.polynomial.legendre.leggauss(q)
-    s = 0.5 * (s + 1.0)
-    w = 0.5 * w
+    s, w = gauss_legendre_unit(q)
     return 1.0 / float(w @ np.exp((1.0 - s) * a + s * b))
 
 
@@ -223,6 +233,13 @@ def interior_submatrix_coo(a, keep):
     rows = a.rows()
     sel = keep[rows] & keep[a.indices]
     return from_coo(int(keep.sum()), new_index[rows[sel]], new_index[a.indices[sel]], a.data[sel])
+
+
+def to_dense(a):
+    """Dense array of a CSR matrix."""
+    out = np.zeros((a.n, a.n))
+    out[a.rows(), a.indices] = a.data
+    return out
 
 
 def csr_from_dense(a):

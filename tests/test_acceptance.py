@@ -27,6 +27,7 @@ cause (measurements in CHANGES.md):
 import numpy as np
 
 import oracles
+from oracles import to_dense
 from pnpfem import assembly
 from pnpfem.assembly import bernoulli
 from pnpfem.gummel import contraction_stats
@@ -171,7 +172,7 @@ def test_criterion_3_mmatrix_suite():
             system = assembly.assemble_np(mesh, phi, eafe_unit, 0, tau)
             verdict = column_mmatrix_check(system.matrix).verdict
             all_pass &= verdict
-            inv = np.linalg.inv(system.matrix.to_dense())
+            inv = np.linalg.inv(to_dense(system.matrix))
             worst_inverse = min(worst_inverse, float(inv.min()))
         details.append(f"{name}: check={all_pass}, min inverse entry={worst_inverse:.2e}")
         ok &= all_pass and worst_inverse >= -1e-10
@@ -191,7 +192,7 @@ def test_criterion_4_oracle_equivalence():
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         for scheme in SCHEMES:
             cfg = scheme_config(scheme)
-            ours = assembly.assemble_np(mesh, phi, cfg, 0, tau).matrix.to_dense()
+            ours = to_dense(assembly.assemble_np(mesh, phi, cfg, 0, tau).matrix)
             ref = oracles.oracle_np_matrix(mesh, phi, cfg.drift[0], tau, scheme)
             worst[scheme] = max(worst[scheme], float(np.abs(ours - ref).max()))
     ok = all(v < 1e-10 for v in worst.values())
@@ -213,8 +214,8 @@ def test_criterion_5_reduction_identities():
         tau = 0.01
         eafe = assembly.assemble_np(mesh, zero, drift_cfg("eafe"), 0, tau, apply_dirichlet=False)
         target = np.diag(assembly.lumped_volumes(mesh) / 4.0) \
-            + tau * assembly.assemble_stiffness(mesh).to_dense()
-        gap_eafe = float(np.abs(eafe.matrix.to_dense() - target).max())
+            + tau * to_dense(assembly.assemble_stiffness(mesh))
+        gap_eafe = float(np.abs(to_dense(eafe.matrix) - target).max())
         fem = assembly.assemble_np(mesh, zero, drift_cfg("fem"), 0, tau)
         supg = assembly.assemble_np(mesh, zero, drift_cfg("supg"), 0, tau)
         supg_equal = bool(np.array_equal(fem.matrix.data, supg.matrix.data))

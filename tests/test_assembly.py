@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import jittered_box
+from oracles import jittered_box, to_dense
 from pnpfem import assembly
 from pnpfem.assembly import (
     SchemeConfig,
     apply_dirichlet_rows,
-    assemble_convection,
     assemble_load,
     assemble_np,
     assemble_stiffness,
@@ -70,14 +69,14 @@ def test_rule_for_order_monotone():
 
 def test_stiffness_row_sums_zero_and_symmetric():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
-    a = assemble_stiffness(mesh).to_dense()
+    a = to_dense(assemble_stiffness(mesh))
     assert np.abs(a.sum(axis=1)).max() < 1e-14
     assert np.abs(a - a.T).max() == 0.0
 
 
 def test_stiffness_dirichlet_identity_rows():
     mesh = build_box_mesh(2)
-    a = apply_dirichlet_rows(assemble_stiffness(mesh), mesh.boundary).to_dense()
+    a = to_dense(apply_dirichlet_rows(assemble_stiffness(mesh), mesh.boundary))
     for k in np.flatnonzero(mesh.boundary):
         row = a[k].copy()
         assert row[k] == 1.0
@@ -91,12 +90,12 @@ def test_dirichlet_rows_need_stored_diagonal():
     with pytest.raises(ValueError, match="row 1"):
         apply_dirichlet_rows(a, np.array([False, True]))
     fixed = apply_dirichlet_rows(a, np.array([True, False]))
-    assert np.array_equal(fixed.to_dense(), [[1.0, 0.0], [-1.0, 0.0]])
+    assert np.array_equal(to_dense(fixed), [[1.0, 0.0], [-1.0, 0.0]])
 
 
 def test_stiffness_matches_oracle():
     mesh = build_box_mesh(2)
-    a = assemble_stiffness(mesh).to_dense()
+    a = to_dense(assemble_stiffness(mesh))
     assert np.abs(a - oracles.oracle_stiffness(mesh)).max() < 1e-13
 
 
@@ -134,31 +133,20 @@ def test_lumped_mass_matches_oracle():
 
 # ---------------------------------------------------------------- convection
 
-def test_convection_zero_potential():
-    mesh = build_box_mesh(2)
-    c = assemble_convection(mesh, np.zeros(mesh.n_nodes))
-    assert np.abs(c.data).max() == 0.0
-
-
-def test_convection_column_sums_zero():
-    mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
-    rng = np.random.default_rng(0)
-    phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    c = assemble_convection(mesh, phi)
-    assert np.abs(c.column_sums()).max() < 1e-15
-
-
 def test_convection_single_tet_linear_potential():
     mesh = reference_tet_mesh()
     phi = mesh.nodes[:, 0].copy()  # slope one in x
-    c = assemble_convection(mesh, phi).to_dense()
-    assert np.abs(c - oracles.oracle_convection(mesh, phi)).max() < 1e-13
+    tau, c = 0.1, 0.7
+    ours = assemble_np(mesh, phi, np_cfg("fem", c), 0, tau, apply_dirichlet=False)
+    expect = oracles.oracle_np_matrix(mesh, phi, c, tau, "fem", apply_bc=False)
+    assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-13
 
 
 def test_convection_dimension_mismatch():
     mesh = build_box_mesh(1)
-    with pytest.raises(ValueError):
-        assemble_convection(mesh, np.zeros(5))
+    for scheme in ("fem", "supg", "eafe"):
+        with pytest.raises(ValueError, match="phi"):
+            assemble_np(mesh, np.zeros(5), np_cfg(scheme, 1.0), 0, 0.1)
 
 
 # --------------------------------------------------------------------- loads
@@ -315,10 +303,8 @@ def test_np_fem_zero_potential_is_mass_plus_stiffness():
     sys_ = assemble_np(
         mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False
     )
-    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * assemble_stiffness(
-        mesh
-    ).to_dense()
-    assert np.abs(sys_.matrix.to_dense() - expect).max() == 0.0
+    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
+    assert np.abs(to_dense(sys_.matrix) - expect).max() == 0.0
 
 
 def test_np_fem_small_tau_limit():
@@ -326,9 +312,9 @@ def test_np_fem_small_tau_limit():
     tau = 1e-300
     sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False)
     m = lumped_volumes(mesh) / 4.0
-    off = sys_.matrix.to_dense() - np.diag(np.diag(sys_.matrix.to_dense()))
+    off = to_dense(sys_.matrix) - np.diag(np.diag(to_dense(sys_.matrix)))
     assert np.abs(off).max() < 1e-250
-    assert np.abs(np.diag(sys_.matrix.to_dense()) - m).max() < 1e-250
+    assert np.abs(np.diag(to_dense(sys_.matrix)) - m).max() < 1e-250
 
 
 def test_np_fem_rejects_bad_tau():
@@ -345,7 +331,7 @@ def test_supg_zero_potential_equals_fem():
     fem = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 0.179), 0, tau)
     supg = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("supg", 0.179), 0, tau)
     assert np.array_equal(fem.matrix.data, supg.matrix.data)
-    assert np.abs(supg.stab_matrix.data).max() == 0.0
+    assert np.abs(supg.stab_grad_weights).max() == 0.0
 
 
 def test_supg_parameter_branch_continuity():
@@ -371,10 +357,15 @@ def test_supg_stab_matches_oracle_two_tets():
     ours = assemble_np(mesh, phi, np_cfg("supg", c, tt), 0, tau, apply_dirichlet=False)
     a_stream, s_time, node_w = oracles.oracle_supg_parts(mesh, phi, c, tt)
     fem = assemble_np(mesh, phi, np_cfg("fem", c), 0, tau, apply_dirichlet=False)
-    expect = fem.matrix.to_dense() + tau * a_stream + s_time
-    assert np.abs(ours.matrix.to_dense() - expect).max() < 1e-12
-    assert np.abs(ours.stab_matrix.to_dense() - s_time).max() < 1e-12
-    assert np.abs(ours.stab_grad_weights - node_w).max() < 1e-12
+    expect = to_dense(fem.matrix) + tau * a_stream + s_time
+    assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-12
+    # the supg right-hand side: S_time p^n + tau sum_K node_w int_K F
+    p_prev = rng.uniform(0.0, 2.0, 5)
+    f_int = rng.uniform(-1.0, 1.0, mesh.n_tets)
+    p_int = np.array([oracles.tet_frame(nodes[tet])[0] * p_prev[tet].mean() for tet in mesh.tets])
+    expect = s_time @ p_prev
+    np.add.at(expect, mesh.tets, tau * node_w * f_int[:, None])
+    assert np.abs(stab_source_vector(mesh, ours, p_int + tau * f_int) - expect).max() < 1e-12
 
 
 def test_supg_source_vector_scatter():
@@ -384,10 +375,11 @@ def test_supg_source_vector_scatter():
     sys_ = assemble_np(mesh, phi, np_cfg("supg", 1.0), 0, 0.1)
     elem = rng.uniform(0.0, 1.0, mesh.n_tets)
     vec = stab_source_vector(mesh, sys_, elem)
+    _, _, node_w = oracles.oracle_supg_parts(mesh, phi, 1.0, 1.0)
     expect = np.zeros(mesh.n_nodes)
     for k, tet in enumerate(mesh.tets):
         for i in range(4):
-            expect[tet[i]] += sys_.stab_grad_weights[k, i] * elem[k]
+            expect[tet[i]] += node_w[k, i] * elem[k]
     assert np.abs(vec - expect).max() < 1e-15
 
 
@@ -399,18 +391,18 @@ def test_eafe_zero_potential_reduces_to_stiffness():
     sys_ = assemble_np(
         mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), 0, tau, apply_dirichlet=False
     )
-    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * assemble_stiffness(
-        mesh
-    ).to_dense()
-    assert np.abs(sys_.matrix.to_dense() - expect).max() < 1e-13
+    expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
+    assert np.abs(to_dense(sys_.matrix) - expect).max() < 1e-13
 
 
-def test_eafe_transport_column_sums_zero():
+@pytest.mark.parametrize("scheme", ["eafe", "fem", "supg"])
+def test_transport_column_sums_zero(scheme):
+    # sum_i d_i = 0, so convection, streamline and time rows add nothing either
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(7)
     phi = rng.uniform(-1.5, 1.5, mesh.n_nodes)
     tau = 0.01
-    sys_ = assemble_np(mesh, phi, np_cfg("eafe", 0.7), 0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, phi, np_cfg(scheme, 0.7), 0, tau, apply_dirichlet=False)
     transport_cols = (
         sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
     ) / tau
@@ -429,7 +421,7 @@ def test_eafe_entries_match_edge_quadrature():
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
-    assert np.abs(sys_.matrix.to_dense() - expect).max() < 1e-10
+    assert np.abs(to_dense(sys_.matrix) - expect).max() < 1e-10
 
 
 @pytest.mark.parametrize("n, hi", [(2, (1.0,) * 3), (3, (1.0,) * 3), (5, (1.0,) * 3),
@@ -441,7 +433,7 @@ def test_grid_solver_is_the_exact_interior_inverse(n, hi):
     assert grid.shape == (n - 1,) * 3
     assert np.allclose(grid.coupling, h.prod() / h**2, rtol=1e-13, atol=0.0)
     inner = ~mesh.boundary
-    block = assemble_stiffness(mesh).to_dense()[np.ix_(inner, inner)]
+    block = to_dense(assemble_stiffness(mesh))[np.ix_(inner, inner)]
     r = np.random.default_rng(n).standard_normal(mesh.n_nodes)
     expect = np.linalg.solve(block, r[inner])
     assert np.linalg.norm(grid.solve(r) - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -514,7 +506,7 @@ def test_eafe_edge_assembly_matches_per_tet_kernel(c):
     tau = 0.02
     ours = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * oracles.eafe_per_tet(mesh, phi, c)
-    assert np.abs(ours.matrix.to_dense() - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert np.abs(to_dense(ours.matrix) - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
@@ -525,7 +517,7 @@ def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
-    assert np.abs(ours.matrix.to_dense() - expect).max() < 1e-10
+    assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-10
 
 
 def test_eafe_pattern_drops_exactly_the_zero_weight_edges():
@@ -574,7 +566,7 @@ def test_assemblers_match_oracle_random_potentials(scheme):
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         ours = assemble_np(mesh, phi, cfg, 0, tau)
         expect = oracles.oracle_np_matrix(mesh, phi, 0.179, tau, scheme)
-        assert np.abs(ours.matrix.to_dense() - expect).max() < 1e-10
+        assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-10
 
 
 def test_dispatcher_selects_scheme():
@@ -584,8 +576,8 @@ def test_dispatcher_selects_scheme():
     tau = 0.1
     cfg_fem = SchemeConfig(scheme="fem")
     cfg_eafe = SchemeConfig(scheme="eafe")
-    a = assemble_np(mesh, phi, cfg_fem, 0, tau, apply_dirichlet=False).matrix.to_dense()
-    b = assemble_np(mesh, phi, cfg_eafe, 0, tau, apply_dirichlet=False).matrix.to_dense()
+    a = to_dense(assemble_np(mesh, phi, cfg_fem, 0, tau, apply_dirichlet=False).matrix)
+    b = to_dense(assemble_np(mesh, phi, cfg_eafe, 0, tau, apply_dirichlet=False).matrix)
     assert np.abs(a - b).max() > 1e-6  # genuinely different operators
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import csr_from_dense, from_coo, interior_submatrix_coo
+from oracles import csr_from_dense, from_coo, interior_submatrix_coo, to_dense
 from pnpfem import linalg
 from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
 from pnpfem.linalg import (
@@ -30,7 +30,7 @@ def test_csr_validation():
         SparseMatrix(2, [0, 2, 3], [0, 0, 1], [1.0, 1.0, 1.0])  # duplicate column in a row
     # columns may fall across a row boundary
     a = SparseMatrix(2, [0, 1, 2], [1, 0], [1.0, 2.0])
-    assert np.array_equal(a.to_dense(), [[0.0, 1.0], [2.0, 0.0]])
+    assert np.array_equal(to_dense(a), [[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_csr_validation_matches_row_loop():
@@ -52,7 +52,7 @@ def test_csr_validation_matches_row_loop():
 def test_from_coo_sums_duplicates():
     a = from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
     assert a.nnz == 2
-    dense = a.to_dense()
+    dense = to_dense(a)
     assert dense[0, 1] == 5.0 and dense[1, 0] == -1.0
 
 
@@ -156,7 +156,7 @@ def test_solve_general_matches_dense_on_np_system():
     system = assemble_np(mesh, phi, eafe_cfg(0.179), 0, (1.0 / 4.0) ** 2)
     b = rng.standard_normal(mesh.n_nodes)
     it = solve_general(system.matrix, b, tol=1e-12)
-    dense = np.linalg.solve(system.matrix.to_dense(), b)
+    dense = np.linalg.solve(to_dense(system.matrix), b)
     assert np.abs(it.x - dense).max() < 1e-8
 
 
@@ -225,7 +225,7 @@ def test_mmatrix_verdict_invariant_under_symmetric_permutation():
     system = assemble_np(mesh, phi, eafe_cfg(0.5), 0, 0.05)
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     perm = rng.permutation(sub.n)
-    dense = sub.to_dense()[np.ix_(perm, perm)]
+    dense = to_dense(sub)[np.ix_(perm, perm)]
     assert column_mmatrix_check(csr_from_dense(dense)).verdict == \
         column_mmatrix_check(sub).verdict
 
@@ -249,7 +249,7 @@ def test_interior_submatrix_values():
     keep = np.array([True, False, True, False])
     sub = interior_submatrix(a, keep)
     assert sub.n == 2
-    assert np.array_equal(sub.to_dense(), np.array([[1.0, 3.0], [9.0, 11.0]]))
+    assert np.array_equal(to_dense(sub), np.array([[1.0, 3.0], [9.0, 11.0]]))
 
 
 
@@ -279,7 +279,7 @@ def test_interior_submatrix_matches_coo_build_on_random_masks():
         for keep in (rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
             sub = interior_submatrix(a, keep)
             assert_same_csr(sub, interior_submatrix_coo(a, keep))
-            assert np.array_equal(sub.to_dense(), dense[np.ix_(keep, keep)])
+            assert np.array_equal(to_dense(sub), dense[np.ix_(keep, keep)])
     # kept rows whose every stored entry sits in a dropped column
     a = csr_from_dense(np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 0.0], [0.0, 4.0, 0.0]]))
     keep = np.array([True, False, True])
