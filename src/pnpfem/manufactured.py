@@ -95,11 +95,21 @@ def source_terms(x, t: float):
 
     Uses Lap(cos cos cos) = -3 pi^2 cos cos cos and the product rule
     div(v grad u) = grad v . grad u + v Lap u on the closed forms above.
+    Built, like the sources ``transient_problem`` binds, from ``_bind_sources``.
     """
     pts, single = _as_points(x)
-    c = _cosprod(pts)
-    gc = _grad_cosprod(pts)
+    values = _bind_sources(pts)(t)
+    return tuple(float(v[0]) for v in values) if single else values
+
+
+def _bind_sources(pts):
+    """(F1, F2, F3) at (Q, 3) points as a function of t; c and |grad c|^2 are computed once."""
+    c, gc = _cosprod(pts), _grad_cosprod(pts)
     gc2 = np.einsum("qd,qd->q", gc, gc)
+    return lambda t: _sources_at(c, gc2, t)
+
+
+def _sources_at(c, gc2, t: float):
     amp = 1.0 - np.exp(-t)
     st, s2t = np.sin(t), np.sin(2.0 * t)
     ct, c2t = np.cos(t), np.cos(2.0 * t)
@@ -121,9 +131,6 @@ def source_terms(x, t: float):
     gradn_gradu = -0.5 * _3PI2 * s2t * amp * gc2
     n_lap_u = n_val * (-_3PI2 * amp * c)
     f3 = 2.0 * _3PI2 * c2t * (1.0 - 0.5 * c) - lap_n + C_DRIFT * (gradn_gradu + n_lap_u)
-
-    if single:
-        return float(f1[0]), float(f2[0]), float(f3[0])
     return f1, f2, f3
 
 
@@ -168,9 +175,9 @@ def transient_problem(T: float, tau: float, **overrides):
     """TransientConfig wired to the benchmark's data.
 
     Boundary data comes from the exact traces, sources from the derived
-    right-hand sides and both carriers start at zero.  The lambdas look up
-    ``exact_eval`` and ``source_terms`` when called, so a wrapper installed
-    on this module's attributes sees every evaluation.
+    right-hand sides and both carriers start at zero.  Binding ``sources``
+    computes c and |grad c|^2 once per point set; the bound boundary data
+    looks up ``exact_eval`` at each call, where a wrapper can see it.
     """
     from .timestepper import TransientConfig
 
@@ -178,8 +185,8 @@ def transient_problem(T: float, tau: float, **overrides):
         T=T,
         tau=tau,
         initial=lambda pts: (np.zeros(len(pts)), np.zeros(len(pts))),
-        boundary=lambda pts, t: tuple(exact_eval(name, pts, t)[0] for name in FIELDS),
-        sources=lambda pts, t: source_terms(pts, t),
+        boundary=lambda pts: lambda t: tuple(exact_eval(name, pts, t)[0] for name in FIELDS),
+        sources=lambda pts: _bind_sources(_as_points(pts)[0]),
     )
     kwargs.update(overrides)
     return TransientConfig(**kwargs)

@@ -1,8 +1,8 @@
 """Implicit (backward-Euler) transient driver with positivity diagnostics.
 
 Every step freezes the time level, evaluates the data once at the new time
-(one ``sources`` and one ``boundary`` call), assembles the three loads from
-those values, forms the concentration right-hand sides
+(each of the ``sources`` and ``boundary`` functions bound at the start of
+the run), assembles the three loads, forms the concentration right-hand sides
 
     F = tau * load + mass * previous_concentrations
 
@@ -51,20 +51,20 @@ __all__ = [
 class TransientConfig:
     """Time horizon, step size and the problem data, one callable per kind.
 
-    ``initial(points)`` returns the starting concentrations (p1, p2),
-    ``boundary(points, t)`` the Dirichlet data (u, p1, p2) and
-    ``sources(points, t)`` the right-hand sides (f, F1, F2), each field of
-    shape (Q,) for points (Q, 3): the nodes, the boundary nodes and
-    ``assembly.quadrature_points``.  ``run_transient`` calls ``boundary``
-    and ``sources`` once at t = 0 and once per step, and starts the
-    potential from a solve against the initial concentrations.
+    ``initial(points)`` returns the starting concentrations (p1, p2);
+    ``boundary(points)`` and ``sources(points)`` return functions of t giving
+    the Dirichlet data (u, p1, p2) and the right-hand sides (f, F1, F2), each
+    field of shape (Q,) for points (Q, 3): the nodes, the boundary nodes and
+    ``assembly.quadrature_points``.  ``run_transient`` binds both once per run
+    (time-free work belongs there), calls the bound functions at t = 0 and once
+    per step, and starts the potential from a solve against p1 and p2.
     """
 
     T: float
     tau: float
     initial: Callable[[np.ndarray], tuple]
-    boundary: Callable[[np.ndarray, float], tuple]
-    sources: Callable[[np.ndarray, float], tuple]
+    boundary: Callable[[np.ndarray], Callable[[float], tuple]]
+    sources: Callable[[np.ndarray], Callable[[float], tuple]]
     eps: float = 1e-6
     max_iter: int = 500
 
@@ -145,10 +145,10 @@ def bound_constants(f_vec, omega_volumes, g_next, c_floor):
     return c_j, c_k, tau_star
 
 
-def _boundary_values(mesh, boundary, t: float) -> np.ndarray:
-    """(u, p1, p2) data at time t on the boundary nodes, zero elsewhere: (3, N)."""
+def _boundary_values(mesh, boundary_at, t: float) -> np.ndarray:
+    """(u, p1, p2) data of the bound boundary function at time t, zero off the boundary: (3, N)."""
     out = np.zeros((3, mesh.n_nodes))
-    out[:, mesh.boundary] = np.asarray(boundary(mesh.nodes[mesh.boundary], t), dtype=float)
+    out[:, mesh.boundary] = np.asarray(boundary_at(t), dtype=float)
     return out
 
 
@@ -162,7 +162,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     cfg = scheme_cfg
     tc = transient_cfg
     mass = assembly.lumped_volumes(mesh) / 4.0
-    points = assembly.quadrature_points(mesh)
+    sources_at = tc.sources(assembly.quadrature_points(mesh))
+    boundary_at = tc.boundary(mesh.nodes[mesh.boundary])
     p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
     state = State(np.zeros(mesh.n_nodes), p1, p2, 0.0)
     result = TransientResult(state=state)
@@ -170,14 +171,14 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     step, where = 0, "initial potential (t = 0)"
     try:
         state.phi = solve_potential(
-            mesh, cfg, assembly.assemble_load(mesh, tc.sources(points, 0.0)[0]),
-            _boundary_values(mesh, tc.boundary, 0.0)[0], (p1, p2), state.phi,
+            mesh, cfg, assembly.assemble_load(mesh, sources_at(0.0)[0]),
+            _boundary_values(mesh, boundary_at, 0.0)[0], (p1, p2), state.phi,
         )
         for step in range(tc.n_steps):
             t_next = min((step + 1) * tc.tau, tc.T)
             where = f"step {step} (t = {t_next:g})"
             tau_n = t_next - t
-            sources = np.asarray(tc.sources(points, t_next), dtype=float)   # (3, M*Q)
+            sources = np.asarray(sources_at(t_next), dtype=float)           # (3, M*Q)
             loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
             f_np = tau_n * loads[1:] + mass * state.concentrations()
             stab_int = None
@@ -191,7 +192,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 t_next=t_next,
                 g_phi=loads[0],
                 f_np=f_np,
-                bc=_boundary_values(mesh, tc.boundary, t_next),
+                bc=_boundary_values(mesh, boundary_at, t_next),
                 p_tau_f_elem_int=stab_int,
             )
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)

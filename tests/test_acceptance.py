@@ -243,7 +243,7 @@ def test_criterion_6_positivity_scenario():
     quality = mesh_quality_report(mesh)
     assert quality.nonnegative and quality.tet_has_positive_edge
     interior = ~mesh.boundary
-    zero = lambda pts, t: np.zeros((3, len(pts)))
+    zero = lambda pts: lambda t: np.zeros((3, len(pts)))
     rng = np.random.default_rng(99)
     tau = 1e-3
     ok = True

@@ -3,11 +3,13 @@
 ``bench/tracing.py`` replaces each ``(module, name)`` in ``TARGETS`` by a
 timing wrapper.  A name that the package stops importing would otherwise
 only show when the benchmark is run, and so would a data path the
-wrappers no longer see.
+wrappers no longer see.  The harness's own smoke check runs here as well.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -45,9 +47,20 @@ def test_tracer_sees_one_data_evaluation_per_level():
     assert tracing.installed_wrappers() == []
     assert len(result.reports) == 2
     spans = Counter(s.name for s in tracer.spans)
-    # t = 0 and two steps: one source evaluation and one load call per level,
-    # one element-integral call per step
-    assert (spans["source_terms"], spans["assemble_load"], spans["element_integrals"]) == (3, 3, 2)
+    # t = 0 and two steps: one load call per level, one element-integral call
+    # per step.  The sources are bound once per run, so source_terms is not
+    # called; the bound boundary data calls exact_eval once per field and level.
+    assert (spans["assemble_load"], spans["element_integrals"]) == (3, 2)
+    assert (spans["source_terms"], spans["exact_eval"]) == (0, 9)
+
+
+def test_harness_smoke_exits_zero():
+    # a change that breaks bench/run.py fails here, not only in a benchmark run
+    proc = subprocess.run(
+        [sys.executable, "bench/smoke.py"], cwd=TRACING.parent.parent,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_tracer_sees_every_potential_solve_start_exact():

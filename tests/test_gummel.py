@@ -26,8 +26,8 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
     ov = assembly.lumped_volumes(mesh)
 
     bc = np.zeros((3, mesh.n_nodes))
-    bc[:, bmask] = tc.boundary(mesh.nodes[bmask], t_next)
-    sources = np.asarray(tc.sources(assembly.quadrature_points(mesh), t_next))
+    bc[:, bmask] = tc.boundary(mesh.nodes[bmask])(t_next)
+    sources = np.asarray(tc.sources(assembly.quadrature_points(mesh))(t_next))
     g_phi, g1, g2 = assembly.assemble_load(mesh, sources)
     f_np = np.stack(
         (tau * g1 + ov / 4.0 * prev.p1, tau * g2 + ov / 4.0 * prev.p2)
@@ -51,7 +51,7 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
 
 
 def zero_problem(mesh, scfg, tau):
-    zero = lambda pts, t: np.zeros((3, len(pts)))
+    zero = lambda pts: lambda t: np.zeros((3, len(pts)))
     zero0 = lambda pts: np.zeros((2, len(pts)))
     tc = transient_problem(T=tau, tau=tau, sources=zero, boundary=zero, initial=zero0)
     n = mesh.n_nodes
@@ -99,7 +99,7 @@ def test_solve_potential_is_the_sweep_potential_solve():
     bmask = mesh.boundary
     phi = solve_potential(mesh, scfg, problem.g_phi, problem.bc[0], (prev.p1, prev.p2), prev.phi)
     # boundary rows hold the g_u data exactly
-    assert np.array_equal(phi[bmask], tc.boundary(mesh.nodes[bmask], 0.01)[0])
+    assert np.array_equal(phi[bmask], tc.boundary(mesh.nodes[bmask])(0.01)[0])
     rhs = problem.g_phi.copy()
     mass = assembly.lumped_volumes(mesh) / 4.0
     for z, p_i in zip(scfg.charges, (prev.p1, prev.p2)):
@@ -135,7 +135,7 @@ def test_iterates_match_dense_oracle_pipeline():
         # the problem so only the matrices and the sweep structure differ
         # (load assembly is oracle-verified separately)
         g_phi = problem.g_phi
-        sources = np.asarray(tc.sources(assembly.quadrature_points(mesh), t_next))
+        sources = np.asarray(tc.sources(assembly.quadrature_points(mesh))(t_next))
         source_int = assembly.element_integrals(mesh, sources[1:])
 
         p_ref = [prev.p1.copy(), prev.p2.copy()]
@@ -143,7 +143,7 @@ def test_iterates_match_dense_oracle_pipeline():
         for sweep in range(3):
             # reference sweep
             rhs = g_phi + charges[0] * lump * p_ref[0] + charges[1] * lump * p_ref[1]
-            rhs[bmask] = tc.boundary(mesh.nodes[bmask], t_next)[0]
+            rhs[bmask] = tc.boundary(mesh.nodes[bmask])(t_next)[0]
             phi_ref = np.linalg.solve(a_dense, rhs)
             for i, c_i in enumerate(drift):
                 mat = oracles.oracle_np_matrix(mesh, phi_ref, c_i, tau, scheme)
@@ -152,7 +152,7 @@ def test_iterates_match_dense_oracle_pipeline():
                     _, s_time, node_w = oracles.oracle_supg_parts(mesh, phi_ref, c_i, 1.0)
                     rhs_i += s_time @ prev.concentrations()[i]
                     np.add.at(rhs_i, mesh.tets, tau * node_w * source_int[i][:, None])
-                rhs_i[bmask] = tc.boundary(mesh.nodes[bmask], t_next)[1 + i]
+                rhs_i[bmask] = tc.boundary(mesh.nodes[bmask])(t_next)[1 + i]
                 p_ref[i] = np.linalg.solve(mat, rhs_i)
             # production sweep
             state = gummel_step(problem, state)

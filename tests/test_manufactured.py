@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pnpfem import assembly
 from pnpfem.manufactured import (
     C_DRIFT,
     error_norms,
@@ -76,8 +77,23 @@ def test_boundary_traces_match_fields():
     mesh = build_box_mesh(3, *BOX)
     tc = transient_problem(T=0.25, tau=0.01)
     pts = mesh.nodes[mesh.boundary]
-    for values, field in zip(tc.boundary(pts, 0.37), ("u", "p", "n")):
+    for values, field in zip(tc.boundary(pts)(0.37), ("u", "p", "n")):
         assert np.array_equal(values, exact_eval(field, pts, 0.37)[0])
+
+
+def test_bound_data_equals_pointwise_reference():
+    # the staged data is the pointwise reference, bit for bit, at every level
+    mesh = build_box_mesh(3, *BOX)
+    tau = 0.01
+    tc = transient_problem(T=0.25, tau=tau)
+    qpts = assembly.quadrature_points(mesh)
+    bpts = mesh.nodes[mesh.boundary]
+    sources_at, boundary_at = tc.sources(qpts), tc.boundary(bpts)
+    for t in (0.0, tau, 0.37):
+        for staged, reference in zip(sources_at(t), source_terms(qpts, t)):
+            assert np.array_equal(staged, reference)
+        for staged, field in zip(boundary_at(t), ("u", "p", "n")):
+            assert np.array_equal(staged, exact_eval(field, bpts, t)[0])
 
 
 def test_initial_concentrations_zero():

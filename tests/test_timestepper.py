@@ -3,7 +3,7 @@ import pytest
 
 from pnpfem import assembly, gummel, timestepper
 from pnpfem.linalg import NonConvergenceError, spmv
-from pnpfem.manufactured import scheme_config, transient_problem
+from pnpfem.manufactured import scheme_config, source_terms, transient_problem
 from pnpfem.mesh import build_box_mesh
 from pnpfem.timestepper import (
     TransientAbortError,
@@ -16,8 +16,8 @@ from pnpfem.timestepper import (
 BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 
-def zero_data(pts, t):
-    return np.zeros((3, len(pts)))
+def zero_data(pts):
+    return lambda t: np.zeros((3, len(pts)))
 
 
 def zero_init(pts):
@@ -40,23 +40,57 @@ def test_config_validation():
 
 @pytest.mark.parametrize("scheme", ["fem", "supg"])
 def test_data_evaluated_once_per_time_level(scheme):
+    # each binder once per run, to the quadrature points and the boundary
+    # nodes; each bound function once at t = 0 and once per step
     mesh = build_box_mesh(2, *BOX)
     tc = transient_problem(T=0.03, tau=0.01)
+    binds = {"sources": [], "boundary": []}
     calls = {"sources": [], "boundary": []}
 
-    def counted(name, fn):
-        def wrapper(pts, t):
-            calls[name].append(t)
-            return fn(pts, t)
-        return wrapper
+    def counted(name, binder):
+        def bind(pts):
+            binds[name].append(pts)
+            at = binder(pts)
+
+            def bound(t):
+                calls[name].append(t)
+                return at(t)
+            return bound
+        return bind
 
     tc.sources = counted("sources", tc.sources)
     tc.boundary = counted("boundary", tc.boundary)
     result = run_transient(mesh, scheme_config(scheme), tc)
     levels = [0.0] + result.times
     assert len(levels) == tc.n_steps + 1
+    assert [len(binds["sources"]), len(binds["boundary"])] == [1, 1]
+    assert np.array_equal(binds["sources"][0], assembly.quadrature_points(mesh))
+    assert np.array_equal(binds["boundary"][0], mesh.nodes[mesh.boundary])
     assert calls["sources"] == levels
     assert calls["boundary"] == levels
+
+
+def test_supg_step_integrates_previous_level_plus_tau_source(monkeypatch):
+    # run_transient hands supg int_K (p^n_h + tau F) per element; with
+    # int_K psi_j = vol_K / 4 the p^n part is vol_K / 4 * sum_j p^n_j
+    mesh = build_box_mesh(3, *BOX)
+    tau = 0.01
+    vals = np.random.default_rng(5).uniform(0.5, 1.5, (2, mesh.n_nodes))
+    tc = transient_problem(T=tau, tau=tau, initial=lambda pts: vals)
+    problems = []
+
+    def capture(problem, state, *args):
+        problems.append(problem)
+        return gummel.gummel_solve(problem, state, *args)
+
+    monkeypatch.setattr(timestepper, "gummel_solve", capture)
+    run_transient(mesh, scheme_config("supg"), tc)
+    (problem,) = problems
+    p_int = mesh.geometry.volumes / 4.0 * vals[:, mesh.tets].sum(-1)
+    f = np.asarray(source_terms(assembly.quadrature_points(mesh), tau))
+    expected = p_int + tau * assembly.element_integrals(mesh, f[1:])
+    assert problem.p_tau_f_elem_int.shape == (2, mesh.n_tets)
+    np.testing.assert_allclose(problem.p_tau_f_elem_int, expected, rtol=1e-13, atol=0.0)
 
 
 def test_zero_data_run():
@@ -82,7 +116,7 @@ def test_f_vector_bookkeeping():
     tc = transient_problem(T=tau, tau=tau)
     rng = np.random.default_rng(0)
     p = rng.uniform(0.5, 1.0, mesh.n_nodes)
-    g = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), tau)[1])
+    g = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(tau)[1])
     m = assembly.lumped_volumes(mesh) / 4.0
     f = tau * g + m * p
     # construction is a pure sum of the two products, bit for bit
@@ -99,9 +133,9 @@ def test_single_step_solves_np_system():
     result = run_transient(mesh, scfg, tc)
     state = result.state
     system = assembly.assemble_np(mesh, state.phi, scfg, 0, tau)
-    g1 = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), tau)[1])
+    g1 = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(tau)[1])
     rhs = tau * g1  # previous concentrations are zero
-    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary], tau)[1]
+    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary])(tau)[1]
     res = np.linalg.norm(spmv(system.matrix, state.p1) - rhs)
     # the potential moved by <= eps after the last concentration solve, so
     # allow the corresponding slack on top of the linear solver tolerance
@@ -117,9 +151,9 @@ def test_discrete_poisson_consistency_each_step():
     a_bc = assembly.apply_dirichlet_rows(assembly.assemble_stiffness(mesh), mesh.boundary)
     state = result.state
     m = assembly.lumped_volumes(mesh) / 4.0
-    rhs = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh), state.t)[0])
+    rhs = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(state.t)[0])
     rhs += scfg.charges[0] * m * state.p1 + scfg.charges[1] * m * state.p2
-    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary], state.t)[0]
+    rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary])(state.t)[0]
     res = np.linalg.norm(spmv(a_bc, state.phi) - rhs)
     assert res <= scfg.linear_tol * np.linalg.norm(rhs)
 
@@ -168,10 +202,10 @@ def test_initial_potential_failure_aborts_at_step_0():
     mesh = build_box_mesh(4, *BOX)
     scfg = scheme_config("fem", linear_tol=1e-17, linear_maxit=50)
 
-    def unit_potential(pts, t):
+    def unit_potential(pts):
         out = np.zeros((3, len(pts)))
         out[0] = 1.0
-        return out
+        return lambda t: out
 
     tc = zero_config(T=0.25, tau=1.0 / 16, boundary=unit_potential)
     with pytest.raises(TransientAbortError) as err:
