@@ -240,7 +240,6 @@ def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
     """
     ws = _workspace(mesh)
     if ws._potential is None:
-        ws.pattern.rows()   # cached on the pattern first, so the matrix shares it
         a = apply_dirichlet_rows(ws.pattern.with_data(ws.stiffness_data), mesh.boundary)
         ws._potential = (a, _grid_solver(mesh, a))
     return ws._potential

@@ -1,5 +1,8 @@
 """Sparse CSR storage, iterative solvers and the column M-matrix check.
 
+Matrices are stored in compressed-row form; products run on a padded row
+(ELLPACK) copy whose width K is the longest row: K full-length vector adds.
+
 The kit deliberately carries its own compressed-row matrix and two classic
 Krylov solvers (Jacobi-preconditioned CG and BiCGSTAB) instead of pulling in
 a sparse-algebra dependency: every system solved here is either symmetric
@@ -43,10 +46,11 @@ class SparseMatrix:
 
     Row offsets are monotone, column indices strictly increase within each
     row and no duplicate entries are stored.  Instances are treated as
-    immutable; derived matrices share the pattern via ``with_data``.
+    immutable; ``with_data`` siblings share the pattern and the index arrays
+    derived from it, each built on first use.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "_rows", "_has_empty_rows")
+    __slots__ = ("n", "indptr", "indices", "data", "_derived", "_ell_vals")
 
     def __init__(self, n, indptr, indices, data, _checked=False):
         self.n = int(n)
@@ -55,8 +59,8 @@ class SparseMatrix:
         self.data = np.ascontiguousarray(data, dtype=float)
         if not _checked:
             self._validate()
-        self._rows = None
-        self._has_empty_rows = bool(np.any(np.diff(self.indptr) == 0))
+        self._derived = {}  # key -> array derived from the pattern
+        self._ell_vals = None
 
     def _validate(self):
         if self.indptr.shape != (self.n + 1,):
@@ -81,11 +85,14 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.indices.size
 
+    def _cached(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def rows(self) -> np.ndarray:
-        """Row index of every stored entry (cached)."""
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return self._rows
+        """Row index of every stored entry (cached per pattern)."""
+        return self._cached("rows", lambda: np.repeat(np.arange(self.n), np.diff(self.indptr)))
 
     def with_data(self, data) -> "SparseMatrix":
         """New matrix sharing this pattern with different values."""
@@ -93,30 +100,53 @@ class SparseMatrix:
         if data.shape != self.data.shape:
             raise ValueError("data shape does not match pattern")
         out = SparseMatrix(self.n, self.indptr, self.indices, data, _checked=True)
-        out._rows = self._rows
+        out._derived = self._derived
         return out
 
     def diagonal(self) -> np.ndarray:
+        slots = self._cached("diag", lambda: np.flatnonzero(self.indices == self.rows()))
         d = np.zeros(self.n)
-        hit = self.indices == self.rows()
-        d[self.indices[hit]] = self.data[hit]
+        d[self.indices[slots]] = self.data[slots]
         return d
+
+    def ell(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded row layout: (K, n) columns, K the longest row, and the values there."""
+        cols, place = self._cached("ell", self._padded_layout)
+        if self._ell_vals is None:
+            vals = np.zeros(cols.size)
+            vals[place] = self.data
+            self._ell_vals = vals.reshape(cols.shape)
+        return cols, self._ell_vals
+
+    def _padded_layout(self):
+        # column j of the layout is row j; a short row is padded with its first
+        # stored column (its own index if empty), which ``ell`` pairs with zero
+        lengths = np.diff(self.indptr)
+        rows = self.rows()
+        place = (np.arange(self.nnz) - self.indptr[rows]) * self.n + rows
+        pad = np.arange(self.n)
+        pad[lengths > 0] = self.indices[self.indptr[:-1][lengths > 0]]
+        cols = np.tile(pad, int(lengths.max(initial=0)))
+        cols[place] = self.indices
+        return cols.reshape(-1, self.n), place
 
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.indices, weights=self.data, minlength=self.n)
 
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product y = A x."""
+    """Matrix-vector product y = A x on the padded row layout of ``a.ell()``.
+
+    The layout's width is the longest row, so the product is K full-length
+    vector operations; a row's entries are summed in column order.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (a.n,):
         raise ValueError(f"dimension mismatch: matrix is {a.n}, vector is {x.shape}")
-    if a.nnz == 0:
-        return np.zeros(a.n)
-    t = a.data * x.take(a.indices)
-    if a._has_empty_rows:
-        return np.bincount(a.rows(), weights=t, minlength=a.n)
-    return np.add.reduceat(t, a.indptr[:-1])
+    cols, vals = a.ell()
+    t = x.take(cols)
+    t *= vals
+    return t.sum(axis=0)
 
 
 @dataclass

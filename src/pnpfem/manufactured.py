@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import SchemeConfig, quadrature_points
+from .assembly import SchemeConfig
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -40,6 +40,7 @@ C_DRIFT = 0.179
 _3PI2 = 3.0 * np.pi**2
 
 FIELDS = ("u", "p", "n")
+_SCORE_BLOCK = 4096  # elements per block in error_norms
 
 
 def _as_points(x):
@@ -72,22 +73,34 @@ def exact_eval(field: str, x, t: float):
     pts, single = _as_points(x)
     c = _cosprod(pts)
     gc = _grad_cosprod(pts)
+    val = _value_at(field, c, t)
     if field == "u":
-        amp = 1.0 - np.exp(-t)
-        val = amp * c
-        grad = amp * gc
+        grad = (1.0 - np.exp(-t)) * gc
         dt = np.exp(-t) * c
     elif field == "p":
-        val = _3PI2 * np.sin(t) * (1.0 + 0.5 * c)
         grad = 0.5 * _3PI2 * np.sin(t) * gc
         dt = _3PI2 * np.cos(t) * (1.0 + 0.5 * c)
     else:
-        val = _3PI2 * np.sin(2.0 * t) * (1.0 - 0.5 * c)
         grad = -0.5 * _3PI2 * np.sin(2.0 * t) * gc
         dt = 2.0 * _3PI2 * np.cos(2.0 * t) * (1.0 - 0.5 * c)
     if single:
         return float(val[0]), grad[0], float(dt[0])
     return val, grad, dt
+
+
+def _value_at(field: str, c, t: float):
+    """Value of one exact field from the cosine product c."""
+    if field == "u":
+        return (1.0 - np.exp(-t)) * c
+    if field == "p":
+        return _3PI2 * np.sin(t) * (1.0 + 0.5 * c)
+    return _3PI2 * np.sin(2.0 * t) * (1.0 - 0.5 * c)
+
+
+def _bind_boundary(pts):
+    """(u, p, n) at (Q, 3) points as a function of t; c is computed once."""
+    c = _cosprod(pts)
+    return lambda t: tuple(_value_at(name, c, t) for name in FIELDS)
 
 
 def source_terms(x, t: float):
@@ -138,25 +151,26 @@ def error_norms(mesh, dofs, field: str, t: float, order: int = 5):
     """L2 and H1-seminorm errors of a nodal vector against an exact field.
 
     Per-element quadrature of the stated order (default degree 5, enough for
-    the degree-4 products that arise from P1 differences).
+    the degree-4 products that arise from P1 differences), summed over
+    blocks of ``_SCORE_BLOCK`` elements so that memory stays bounded.
     """
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.n_nodes,):
         raise ValueError("dof vector does not match the mesh")
     pts, wts = rule_for_order(order)
-    exact_val, exact_grad, _ = exact_eval(field, quadrature_points(mesh, order), t)
-    exact_val = exact_val.reshape(mesh.n_tets, wts.size)
-    exact_grad = exact_grad.reshape(mesh.n_tets, wts.size, 3)
-
-    local = dofs[mesh.tets]                                    # (M, 4)
-    uh = local @ pts.T                                         # (M, Q)
     geo = mesh.geometry
-    guh = np.einsum("mk,mkd->md", local, geo.grad_lambda)      # (M, 3)
-
-    dv = uh - exact_val
-    l2sq = float(np.einsum("m,mq,q->", geo.volumes, dv * dv, wts))
-    dg = guh[:, None, :] - exact_grad
-    h1sq = float(np.einsum("m,mq,q->", geo.volumes, np.einsum("mqd,mqd->mq", dg, dg), wts))
+    l2sq = h1sq = 0.0
+    for lo in range(0, mesh.n_tets, _SCORE_BLOCK):
+        blk = slice(lo, lo + _SCORE_BLOCK)
+        tets, vol = mesh.tets[blk], geo.volumes[blk]
+        xq = np.einsum("qk,mkd->mqd", pts, mesh.nodes[tets])         # (B, Q, 3)
+        exact_val, exact_grad, _ = exact_eval(field, xq.reshape(-1, 3), t)
+        local = dofs[tets]                                            # (B, 4)
+        dv = local @ pts.T - exact_val.reshape(xq.shape[:2])          # (B, Q)
+        guh = np.einsum("mk,mkd->md", local, geo.grad_lambda[blk])    # (B, 3)
+        dg = guh[:, None, :] - exact_grad.reshape(xq.shape)           # (B, Q, 3)
+        l2sq += float(np.einsum("m,mq,q->", vol, dv * dv, wts))
+        h1sq += float(np.einsum("m,mq,q->", vol, np.einsum("mqd,mqd->mq", dg, dg), wts))
     return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
 
 
@@ -176,8 +190,8 @@ def transient_problem(T: float, tau: float, **overrides):
 
     Boundary data comes from the exact traces, sources from the derived
     right-hand sides and both carriers start at zero.  Binding ``sources``
-    computes c and |grad c|^2 once per point set; the bound boundary data
-    looks up ``exact_eval`` at each call, where a wrapper can see it.
+    computes c and |grad c|^2 once per point set, binding ``boundary`` c;
+    each bound function then only evaluates the time factors.
     """
     from .timestepper import TransientConfig
 
@@ -185,7 +199,7 @@ def transient_problem(T: float, tau: float, **overrides):
         T=T,
         tau=tau,
         initial=lambda pts: (np.zeros(len(pts)), np.zeros(len(pts))),
-        boundary=lambda pts: lambda t: tuple(exact_eval(name, pts, t)[0] for name in FIELDS),
+        boundary=lambda pts: _bind_boundary(_as_points(pts)[0]),
         sources=lambda pts: _bind_sources(_as_points(pts)[0]),
     )
     kwargs.update(overrides)

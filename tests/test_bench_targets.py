@@ -48,10 +48,10 @@ def test_tracer_sees_one_data_evaluation_per_level():
     assert len(result.reports) == 2
     spans = Counter(s.name for s in tracer.spans)
     # t = 0 and two steps: one load call per level, one element-integral call
-    # per step.  The sources are bound once per run, so source_terms is not
-    # called; the bound boundary data calls exact_eval once per field and level.
+    # per step.  The sources and the boundary data are bound once per run, so
+    # neither source_terms nor exact_eval is called.
     assert (spans["assemble_load"], spans["element_integrals"]) == (3, 2)
-    assert (spans["source_terms"], spans["exact_eval"]) == (0, 9)
+    assert (spans["source_terms"], spans["exact_eval"]) == (0, 0)
 
 
 def test_harness_smoke_exits_zero():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import csr_from_dense, from_coo, interior_submatrix_coo, to_dense
+from oracles import csr_from_dense, from_coo, interior_submatrix_coo, jittered_box, to_dense
 from pnpfem import linalg
-from pnpfem.assembly import SchemeConfig, apply_dirichlet_rows, assemble_np, assemble_stiffness
+from pnpfem.assembly import (
+    SchemeConfig,
+    apply_dirichlet_rows,
+    assemble_np,
+    assemble_stiffness,
+    potential_system,
+)
 from pnpfem.linalg import (
     NonConvergenceError,
     SparseMatrix,
@@ -73,6 +79,70 @@ def test_spmv_tridiagonal():
 def test_spmv_dimension_mismatch():
     with pytest.raises(ValueError):
         spmv(csr_from_dense(np.eye(3)), np.ones(4))
+
+
+def assert_spmv_matches_dense(a, x):
+    # rtol 1e-14 on the sum of |a_ij x_j|, the scale of the rounding in each row
+    dense = to_dense(a)
+    assert np.all(np.abs(spmv(a, x) - dense @ x) <= 1e-14 * (np.abs(dense) @ np.abs(x)))
+    assert np.array_equal(a.diagonal(), np.diag(dense))
+
+
+def test_spmv_mixed_row_lengths_and_empty_rows():
+    rng = np.random.default_rng(7)
+    # empty first, middle and last rows; rows of 1 to 6 entries, some without a diagonal
+    lengths = [0, 3, 1, 6, 0, 2, 5, 1, 4, 0]
+    n = len(lengths)
+    indices = np.concatenate([np.sort(rng.choice(n, k, replace=False)) for k in lengths])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    a = SparseMatrix(n, indptr, indices, rng.standard_normal(indices.size))
+    assert a.ell()[0].shape == (6, n)
+    x = rng.standard_normal(n)
+    assert_spmv_matches_dense(a, x)
+    assert np.all(spmv(a, x)[[0, 4, 9]] == 0.0)
+    # a stored row reads only its own columns: a NaN reaches the rows that
+    # store its column (an empty row pads with its own index)
+    stored = np.diff(indptr) > 0
+    for j in range(n):
+        x_nan = x.copy()
+        x_nan[j] = np.nan
+        hit = np.isnan(spmv(a, x_nan))
+        assert np.array_equal(hit[stored], to_dense(a)[stored, j] != 0.0)
+
+
+def box_operators(mesh):
+    rng = np.random.default_rng(5)
+    phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    yield assemble_stiffness(mesh)
+    for scheme in ("fem", "supg", "eafe"):
+        yield assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0, 0.05).matrix
+
+
+def test_spmv_matches_dense_on_box_operators():
+    mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
+    x = np.random.default_rng(11).standard_normal(mesh.n_nodes)
+    for a in (*box_operators(mesh), potential_system(mesh)[0]):
+        assert_spmv_matches_dense(a, x)
+
+
+def test_spmv_matches_dense_on_jittered_mesh():
+    mesh = jittered_box(3)
+    x = np.random.default_rng(13).standard_normal(mesh.n_nodes)
+    for a in box_operators(mesh):
+        assert_spmv_matches_dense(a, x)
+
+
+def test_padded_layout_is_built_on_first_product_and_shared():
+    mesh = build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3)
+    a = assemble_stiffness(mesh)
+    assert "ell" not in a._derived and a._ell_vals is None
+    b = a.with_data(2.0 * a.data)
+    x = np.random.default_rng(17).standard_normal(mesh.n_nodes)
+    assert np.array_equal(spmv(b, x), 2.0 * spmv(a, x))
+    (cols_a, vals_a), (cols_b, vals_b) = a.ell(), b.ell()
+    assert b._derived is a._derived and cols_b is cols_a
+    assert cols_a.shape == (np.diff(a.indptr).max(), a.n)
+    assert np.array_equal(vals_b, 2.0 * vals_a)
 
 
 def test_solve_spd_identity():

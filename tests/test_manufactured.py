@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pnpfem import assembly
+from pnpfem import assembly, manufactured
 from pnpfem.manufactured import (
     C_DRIFT,
     error_norms,
@@ -158,6 +158,17 @@ def test_error_norms_interpolation_rate():
         errs.append(error_norms(mesh, interp, "u", t)[0])
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
+
+
+def test_error_norms_blocks_add_up_to_one_pass(monkeypatch):
+    # 7 does not divide the 6 * 3^3 = 162 elements, so the last block is short
+    mesh = build_box_mesh(3, *BOX)
+    dofs = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
+    for field in ("u", "p", "n"):
+        monkeypatch.setattr(manufactured, "_SCORE_BLOCK", mesh.n_tets)
+        whole = error_norms(mesh, dofs, field, 0.3)
+        monkeypatch.setattr(manufactured, "_SCORE_BLOCK", 7)
+        assert error_norms(mesh, dofs, field, 0.3) == pytest.approx(whole, rel=1e-13, abs=0.0)
 
 
 def test_error_norms_dimension_check():
