@@ -13,11 +13,15 @@ and the contract
 
 where ``transport`` is the plain Galerkin convection-diffusion operator, its
 streamline-stabilized variant, or the exponentially fitted (edge-averaged)
-operator.  fem and supg are one pass over the elements that scatters one
-local matrix; eafe is assembled per edge.  supg also changes the right-hand
-side, by the one per-element load of ``stab_source_vector``.  With a zero
-potential all three collapse to mass + tau * A_L, which is the normative
-check pinning all sign and index conventions.
+operator.  One call assembles both species at one potential: they differ only
+through their drift c, so grad(phi_h), d_i = grad(phi_h).grad(psi_i), the
+supg parameter and the Bernoulli values are computed once (the last two once
+per distinct |c|).  fem and supg are one pass over the elements, read from the
+axis-major gradients of the mesh geometry; eafe is assembled per edge.  supg
+also changes the right-hand side, by the one per-element load of
+``stab_source_vector``.  With a zero potential all three collapse to
+mass + tau * A_L, which is the normative check pinning all sign and index
+conventions.
 """
 
 from __future__ import annotations
@@ -121,11 +125,9 @@ class _Workspace:
         self._potential = None  # potential_system(mesh), built on first use
 
     def _scatter(self, local_vals) -> np.ndarray:
-        return np.bincount(
-            self.slots.ravel(),
-            weights=np.ascontiguousarray(local_vals).ravel(),
-            minlength=self.pattern.nnz,
-        )
+        """Sum local values, (M, 4, 4) or broadcast to it, into the pattern's slots."""
+        local = np.ascontiguousarray(np.broadcast_to(local_vals, self.slots.shape))
+        return np.bincount(self.slots.ravel(), weights=local.ravel(), minlength=self.pattern.nnz)
 
 
 class _EdgeTable:
@@ -157,19 +159,24 @@ class _EdgeTable:
         self.slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
                                      self.diag_slots[self.a], self.diag_slots[self.b]))
 
-    def transport(self, phi: np.ndarray, c: float) -> np.ndarray:
-        """Entry (a, b) is -weight * B(c (phi_a - phi_b)); columns sum to zero.
+    def transport(self, phi: np.ndarray, drift) -> list[np.ndarray]:
+        """Per c in ``drift``, entry (a, b) is -weight * B(c (phi_a - phi_b)); columns sum to 0.
 
         B(-|t|) = B(|t|) + |t| saves the second Bernoulli evaluation and, unlike
         B(t) - t, does not cancel: at t = -30 that would keep about 3 digits.
+        Both depend on c only through |c|, so ``bernoulli`` runs once per
+        distinct |c|; for c_2 = -c_1 the forward and backward weights swap.
         """
-        t = c * (phi[self.a] - phi[self.b])
-        b_pos = bernoulli(np.abs(t))
-        b_neg = b_pos + np.abs(t)
-        w_fwd = self.weight * np.where(t >= 0.0, b_pos, b_neg)   # weight * B(t)
-        w_bwd = self.weight * np.where(t >= 0.0, b_neg, b_pos)   # weight * B(-t)
-        vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
-        return np.bincount(self.slots, weights=vals, minlength=self.pattern.nnz)
+        dphi, out = phi[self.a] - phi[self.b], []
+        t_abs = {m: m * np.abs(dphi) for m in {abs(c) for c in drift}}
+        b_pos = {m: bernoulli(t) for m, t in t_abs.items()}
+        for c in drift:
+            b_neg, ahead = b_pos[abs(c)] + t_abs[abs(c)], c * dphi >= 0.0
+            w_fwd = self.weight * np.where(ahead, b_pos[abs(c)], b_neg)   # weight * B(t)
+            w_bwd = self.weight * np.where(ahead, b_neg, b_pos[abs(c)])   # weight * B(-t)
+            vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
+            out.append(np.bincount(self.slots, weights=vals, minlength=self.pattern.nnz))
+        return out
 
 
 class _GridSolver:
@@ -211,22 +218,24 @@ def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
     Node k is lattice point unravel_index(k, m), m the distinct coordinates per
     axis; ``boundary`` must be the lattice's outer shell and each stored
     interior entry of ``a`` the stencil, to 1e-12 of the largest such entry.
+    Between interior nodes the column offset cols - rows names the lattice
+    step: 0, +-m_1 m_2, +-m_2 and +-1 are the centre and the steps along x, y, z.
     """
     m = np.array([np.unique(mesh.nodes[:, d]).size for d in range(3)])
     if m.prod() != mesh.n_nodes or m.min() < 3:
         return None
-    ijk = np.stack(np.unravel_index(np.arange(mesh.n_nodes), m), axis=1)
-    shell = ((ijk == 0) | (ijk == m - 1)).any(axis=1)
+    shell = np.pad(np.zeros(m - 2, dtype=bool), 1, constant_values=True).ravel()
     if not np.array_equal(mesh.boundary, shell):
         return None
-    rows, cols, vals = a.rows(), a.indices, a.data
-    first = rows == (m[1] + 1) * m[2] + 1                     # row of lattice node (1, 1, 1)
-    coupling = np.array([-vals[first & (cols - rows == s)].sum() for s in (m[1] * m[2], m[2], 1)])
-    inner = ~shell[rows] & ~shell[cols]
-    step = np.abs(ijk[cols[inner]] - ijk[rows[inner]])
-    expect = np.select([step.sum(1) == 0, step.sum(1) == 1],
-                       [2 * coupling.sum(), -coupling[step.argmax(1)]])
-    if np.abs(vals[inner] - expect).max() > 1e-12 * np.abs(vals[inner]).max():
+    steps, r = (m[1] * m[2], m[2], 1), (m[1] + 1) * m[2] + 1      # r: row of node (1, 1, 1)
+    row = slice(a.indptr[r], a.indptr[r + 1])
+    coupling = np.array([-a.data[row][a.indices[row] - r == s].sum() for s in steps])
+    rows = a.rows()
+    inner = ~(shell[rows] | shell[a.indices])
+    off, vals = np.abs(a.indices[inner] - rows[inner]), a.data[inner]
+    dev = np.select([off == 0] + [off == s for s in steps], [2 * coupling.sum(), *-coupling])
+    dev -= vals
+    if max(dev.max(), -dev.min()) > 1e-12 * np.abs(vals).max():
         return None
     return _GridSolver(np.flatnonzero(~shell), tuple(m - 2), coupling)
 
@@ -344,6 +353,7 @@ def bernoulli(t):
 class AssembledNP:
     """One species' concentration system for a single implicit step.
 
+    ``assemble_np`` returns one per species, in ``SchemeConfig.drift`` order.
     ``matrix`` is mass + tau * transport (constrained rows already replaced
     by identity rows when requested).  For supg, ``stab_grad_weights`` holds
     w_K.grad(psi_i), one weight per element corner, with which
@@ -366,24 +376,19 @@ def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarr
     return np.bincount(mesh.tets.ravel(), weights=w.ravel(), minlength=mesh.n_nodes)
 
 
-def assemble_np(
-    mesh: BoxMesh,
-    phi: np.ndarray,
-    cfg: SchemeConfig,
-    species: int,
-    tau: float,
-    apply_dirichlet: bool = True,
-) -> AssembledNP:
-    """One species' system, lumped mass + tau * transport(phi), for cfg.scheme.
+def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
+                apply_dirichlet: bool = True) -> list[AssembledNP]:
+    """Both species' systems, lumped mass + tau * transport(phi), in cfg.drift order.
 
-    With c = ``cfg.drift[species]``, fem and supg take one pass over the
-    elements.  d_i = grad(phi_h).grad(psi_i) is constant on each tet K.  fem
-    adds to tau A_L the local matrix of tau c C(phi), whose rows are the
-    constant tau c vol_K d_i / 4; supg adds tau c^2 c_K vol_K d_i d_j
-    (streamline) and -c c_K vol_K d_i / 4 (time rows) to the same local
-    matrix, so fem is supg with c_K = 0.  supg also returns w_K.grad(psi_i)
-    = -c c_K d_i for ``stab_source_vector``.  eafe is the edge-averaged
-    operator, per edge on the pruned pattern of ``_EdgeTable``.  The mass
+    The species differ only through their drift c, so the phi-dependent work
+    is done once.  fem and supg take one pass over the elements; d_i =
+    grad(phi_h).grad(psi_i) is constant on each tet K.  fem scatters tau C(phi),
+    whose local rows are the constant tau vol_K d_i / 4, once and adds c times
+    it to tau A_L.  supg adds tau c^2 c_K vol_K d_i d_j (streamline) and
+    -c c_K vol_K d_i / 4 (time rows) to the local matrix of tau c C(phi), with
+    c_K and the streamline term computed once per distinct |c|, and returns
+    w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
+    edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The mass
     stays lumped: positive off-diagonal entries of a consistent mass would
     break the eafe column M-matrix property.
     """
@@ -393,32 +398,40 @@ def assemble_np(
     if not tau > 0:
         raise ValueError("tau must be positive")
     ws = _workspace(mesh)
-    c = cfg.drift[species]
-    stab_w = None
+    stab_w = [None, None]
     if cfg.scheme == "eafe":
         if ws._edges is None:
             ws._edges = _EdgeTable(ws)
         space = ws._edges
-        data = tau * space.transport(phi, c)
+        datas = [tau * t for t in space.transport(phi, cfg.drift)]
     else:
-        space, geo = ws, mesh.geometry
-        gphi = np.einsum("mk,mkd->md", phi[mesh.tets], geo.grad_lambda)   # (M, 3)
-        d = np.einsum("md,mid->mi", gphi, geo.grad_lambda)               # (M, 4)
+        space, geo, g = ws, mesh.geometry, mesh.geometry.grad_axes        # g: (4, 3, M)
+        p = phi[mesh.tets.T]
+        gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
+        d = np.ascontiguousarray((gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]).T)
         quarter_vol = 0.25 * geo.volumes[:, None]                       # int_K psi_j
-        row_vals, stream = tau * c * quarter_vol * d, 0.0
-        if cfg.scheme == "supg":
-            speed = np.abs(c) * np.linalg.norm(gphi, axis=1)             # |c grad(phi)| per tet
-            h_k = geo.diameters
-            safe = np.where(speed > 0.0, speed, 1.0)
-            c_k = np.where(0.5 * h_k * speed >= 1.0,                     # cell Peclet number
-                           cfg.supg_scale * h_k / (2.0 * safe), cfg.supg_scale * h_k * h_k / 4.0)
-            stab_w = -c * c_k[:, None] * d                               # w_K.grad(psi_i)
-            row_vals = row_vals + quarter_vol * stab_w
-            stream = (-tau * c * geo.volumes)[:, None, None] * stab_w[:, :, None] * d[:, None, :]
-        local = np.broadcast_to(row_vals[:, :, None] + stream, (mesh.n_tets, 4, 4))
-        data = tau * ws.stiffness_data + ws._scatter(local)
-    data[space.diag_slots] += ws.lumped / 4.0
-    if apply_dirichlet:
-        data = np.where(mesh.boundary[space.pattern.rows()], 0.0, data)
-        data[space.diag_slots[mesh.boundary]] = 1.0
-    return AssembledNP(space.pattern.with_data(data), stab_w)
+        base = tau * ws.stiffness_data
+        if cfg.scheme == "fem":
+            conv = ws._scatter((tau * quarter_vol * d)[:, :, None])
+            datas = [base + c * conv for c in cfg.drift]
+        else:
+            speed, h_k, terms, datas = np.linalg.norm(gphi, axis=0), geo.diameters, {}, []
+            for m in {abs(c) for c in cfg.drift}:       # c_K and the stream term need only |c|
+                cs = m * speed                                             # |c grad(phi)| per tet
+                c_k = np.where(0.5 * h_k * cs >= 1.0,                      # cell Peclet number
+                               cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
+                               cfg.supg_scale * h_k * h_k / 4.0)
+                w = (-m * c_k[:, None] * d)[:, :, None]
+                terms[m] = c_k, (-tau * m * geo.volumes)[:, None, None] * w * d[:, None]
+            for i, c in enumerate(cfg.drift):
+                c_k, stream = terms[abs(c)]
+                stab_w[i] = -c * c_k[:, None] * d                          # w_K.grad(psi_i)
+                rows = tau * c * quarter_vol * d + quarter_vol * stab_w[i]
+                datas.append(base + ws._scatter(rows[:, :, None] + stream))
+    fixed = mesh.boundary[space.pattern.rows()] if apply_dirichlet else None
+    for data in datas:
+        data[space.diag_slots] += ws.lumped / 4.0
+        if apply_dirichlet:
+            data[fixed] = 0.0
+            data[space.diag_slots[mesh.boundary]] = 1.0
+    return [AssembledNP(space.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]

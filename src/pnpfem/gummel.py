@@ -172,8 +172,7 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     phi_new = solve_potential(mesh, cfg, problem.g_phi, problem.bc[0], prev_p, iterate.phi)
 
     p_new = []
-    for i in range(2):
-        system = assembly.assemble_np(mesh, phi_new, cfg, i, problem.tau)
+    for i, system in enumerate(assembly.assemble_np(mesh, phi_new, cfg, problem.tau)):
         rhs_i = problem.f_np[i]
         if system.stab_grad_weights is not None:
             rhs_i = rhs_i + assembly.stab_source_vector(mesh, system, problem.p_tau_f_elem_int[i])

@@ -45,7 +45,11 @@ class DegenerateTetError(ValueError):
 class _MeshGeometry:
     """Vectorized per-element geometry for a whole mesh."""
 
-    __slots__ = ("volumes", "grad_lambda", "omega", "diameters")
+    # The gradients are stored axis-major: grad_axes[i, d] is the d-th component
+    # of grad(lambda_i) over all elements, one contiguous row of M, so that
+    # sums over corners and axes are full-length multiply-adds.  grad_lambda
+    # is the (M, 4, 3) element-major view of the same memory.
+    __slots__ = ("volumes", "grad_axes", "grad_lambda", "omega", "diameters")
 
     def __init__(self, nodes: np.ndarray, tets: np.ndarray):
         corners = nodes[tets]                      # (M, 4, 3)
@@ -59,28 +63,18 @@ class _MeshGeometry:
                 f"tet {bad[0]} has nonpositive volume {det6[bad[0]] / 6.0:g} "
                 f"({bad.size} offending tets in total)"
             )
-        grad = np.empty((tets.shape[0], 4, 3))
-        grad[:, 1] = np.cross(v, w) / det6[:, None]
-        grad[:, 2] = np.cross(w, u) / det6[:, None]
-        grad[:, 3] = np.cross(u, v) / det6[:, None]
-        grad[:, 0] = -(grad[:, 1] + grad[:, 2] + grad[:, 3])
-
-        self.volumes = det6 / 6.0
-        self.grad_lambda = grad
-        omega = np.empty((tets.shape[0], 6))
-        for e, (nu, mu) in enumerate(LOCAL_EDGES):
-            dots = np.einsum("md,md->m", grad[:, mu], grad[:, nu])
-            omega[:, e] = -self.volumes * dots
-        self.omega = omega
-
-        diam = np.zeros(tets.shape[0])
+        self.diameters = diam = np.zeros(tets.shape[0])
         for nu, mu in LOCAL_EDGES:
-            np.maximum(
-                diam,
-                np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1),
-                out=diam,
-            )
-        self.diameters = diam
+            np.maximum(diam, np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1), out=diam)
+
+        grad = [None] + [np.cross(a, b) / det6[:, None] for a, b in ((v, w), (w, u), (u, v))]
+        grad[0] = -(grad[1] + grad[2] + grad[3])
+        del corners, u, v, w          # freed before the axis-major copy, the peak here
+        self.volumes = det6 / 6.0
+        self.omega = np.stack([-self.volumes * np.einsum("md,md->m", grad[mu], grad[nu])
+                               for nu, mu in LOCAL_EDGES], axis=1)
+        self.grad_axes = np.array([g.T for g in grad])     # (4, 3, M), C order
+        self.grad_lambda = self.grad_axes.transpose(2, 0, 1)
 
 
 class BoxMesh:

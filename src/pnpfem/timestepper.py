@@ -18,7 +18,8 @@ side stays positive, and the column M-matrix verdict of the concentration
 matrices (all on interior unknowns, where the homogeneous Dirichlet theory
 lives).  The verdict is taken on matrices re-assembled at the refreshed,
 accepted potential, not on those of the last sweep, so that it describes
-the operator of the recorded state; this costs two assemblies per step.
+the operator of the recorded state; this costs one assembly of both
+species' systems per step.
 ``write_csv`` is the one CSV writer, of the history and of the CLI studies.
 """
 
@@ -238,11 +239,8 @@ def _diagnose(
     c_j, _, tau_star = bound_constants(
         f_int, assembly.lumped_volumes(mesh)[interior], g_int, max(floor, 1e-12)
     )
-    verdicts = []
-    for i in range(2):
-        system = assembly.assemble_np(mesh, new_state.phi, cfg, i, tau_n)
-        sub = interior_submatrix(system.matrix, interior)
-        verdicts.append(column_mmatrix_check(sub).verdict)
+    verdicts = [column_mmatrix_check(interior_submatrix(system.matrix, interior)).verdict
+                for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n)]
     return DiagnosticsRecord(
         step=step,
         t=t_next,

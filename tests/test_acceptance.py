@@ -169,7 +169,7 @@ def test_criterion_3_mmatrix_suite():
         all_pass = True
         for _ in range(100):
             phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-            system = assembly.assemble_np(mesh, phi, eafe_unit, 0, tau)
+            system = assembly.assemble_np(mesh, phi, eafe_unit, tau)[0]
             verdict = column_mmatrix_check(system.matrix).verdict
             all_pass &= verdict
             inv = np.linalg.inv(to_dense(system.matrix))
@@ -192,7 +192,7 @@ def test_criterion_4_oracle_equivalence():
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         for scheme in SCHEMES:
             cfg = scheme_config(scheme)
-            ours = to_dense(assembly.assemble_np(mesh, phi, cfg, 0, tau).matrix)
+            ours = to_dense(assembly.assemble_np(mesh, phi, cfg, tau)[0].matrix)
             ref = oracles.oracle_np_matrix(mesh, phi, cfg.drift[0], tau, scheme)
             worst[scheme] = max(worst[scheme], float(np.abs(ours - ref).max()))
     ok = all(v < 1e-10 for v in worst.values())
@@ -212,12 +212,12 @@ def test_criterion_5_reduction_identities():
         mesh = build_box_mesh(n, lo, hi)
         zero = np.zeros(mesh.n_nodes)
         tau = 0.01
-        eafe = assembly.assemble_np(mesh, zero, drift_cfg("eafe"), 0, tau, apply_dirichlet=False)
+        eafe = assembly.assemble_np(mesh, zero, drift_cfg("eafe"), tau, apply_dirichlet=False)[0]
         target = np.diag(assembly.lumped_volumes(mesh) / 4.0) \
             + tau * to_dense(assembly.assemble_stiffness(mesh))
         gap_eafe = float(np.abs(to_dense(eafe.matrix) - target).max())
-        fem = assembly.assemble_np(mesh, zero, drift_cfg("fem"), 0, tau)
-        supg = assembly.assemble_np(mesh, zero, drift_cfg("supg"), 0, tau)
+        fem = assembly.assemble_np(mesh, zero, drift_cfg("fem"), tau)[0]
+        supg = assembly.assemble_np(mesh, zero, drift_cfg("supg"), tau)[0]
         supg_equal = bool(np.array_equal(fem.matrix.data, supg.matrix.data))
         details.append(f"n={n}: |EAFE(0)-(M+tauA)|={gap_eafe:.1e}, SUPG(0)==FEM(0): {supg_equal}")
         ok &= gap_eafe < 1e-13 and supg_equal

@@ -137,7 +137,7 @@ def test_convection_single_tet_linear_potential():
     mesh = reference_tet_mesh()
     phi = mesh.nodes[:, 0].copy()  # slope one in x
     tau, c = 0.1, 0.7
-    ours = assemble_np(mesh, phi, np_cfg("fem", c), 0, tau, apply_dirichlet=False)
+    ours = assemble_np(mesh, phi, np_cfg("fem", c), tau, apply_dirichlet=False)[0]
     expect = oracles.oracle_np_matrix(mesh, phi, c, tau, "fem", apply_bc=False)
     assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-13
 
@@ -146,7 +146,7 @@ def test_convection_dimension_mismatch():
     mesh = build_box_mesh(1)
     for scheme in ("fem", "supg", "eafe"):
         with pytest.raises(ValueError, match="phi"):
-            assemble_np(mesh, np.zeros(5), np_cfg(scheme, 1.0), 0, 0.1)
+            assemble_np(mesh, np.zeros(5), np_cfg(scheme, 1.0), 0.1)
 
 
 # --------------------------------------------------------------------- loads
@@ -301,8 +301,8 @@ def test_np_fem_zero_potential_is_mass_plus_stiffness():
     mesh = build_box_mesh(2)
     tau = 0.01
     sys_ = assemble_np(
-        mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False
-    )
+        mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), tau, apply_dirichlet=False
+    )[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
     assert np.abs(to_dense(sys_.matrix) - expect).max() == 0.0
 
@@ -310,7 +310,7 @@ def test_np_fem_zero_potential_is_mass_plus_stiffness():
 def test_np_fem_small_tau_limit():
     mesh = build_box_mesh(1)
     tau = 1e-300
-    sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), tau, apply_dirichlet=False)[0]
     m = lumped_volumes(mesh) / 4.0
     off = to_dense(sys_.matrix) - np.diag(np.diag(to_dense(sys_.matrix)))
     assert np.abs(off).max() < 1e-250
@@ -320,7 +320,7 @@ def test_np_fem_small_tau_limit():
 def test_np_fem_rejects_bad_tau():
     mesh = build_box_mesh(1)
     with pytest.raises(ValueError):
-        assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0, 0.0)
+        assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), 0.0)
 
 
 # ----------------------------------------------------------------- np: supg
@@ -328,8 +328,8 @@ def test_np_fem_rejects_bad_tau():
 def test_supg_zero_potential_equals_fem():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     tau = 0.01
-    fem = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 0.179), 0, tau)
-    supg = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("supg", 0.179), 0, tau)
+    fem = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 0.179), tau)[0]
+    supg = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("supg", 0.179), tau)[0]
     assert np.array_equal(fem.matrix.data, supg.matrix.data)
     assert np.abs(supg.stab_grad_weights).max() == 0.0
 
@@ -354,9 +354,9 @@ def test_supg_stab_matches_oracle_two_tets():
     rng = np.random.default_rng(4)
     phi = rng.uniform(-2.0, 2.0, 5)  # large slopes: exercises the upwind branch
     tau, tt, c = 0.05, 1.3, 0.179
-    ours = assemble_np(mesh, phi, np_cfg("supg", c, tt), 0, tau, apply_dirichlet=False)
+    ours = assemble_np(mesh, phi, np_cfg("supg", c, tt), tau, apply_dirichlet=False)[0]
     a_stream, s_time, node_w = oracles.oracle_supg_parts(mesh, phi, c, tt)
-    fem = assemble_np(mesh, phi, np_cfg("fem", c), 0, tau, apply_dirichlet=False)
+    fem = assemble_np(mesh, phi, np_cfg("fem", c), tau, apply_dirichlet=False)[0]
     expect = to_dense(fem.matrix) + tau * a_stream + s_time
     assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-12
     # the supg right-hand side: S_time p^n + tau sum_K node_w int_K F
@@ -372,7 +372,7 @@ def test_supg_source_vector_scatter():
     mesh = build_box_mesh(1)
     rng = np.random.default_rng(6)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    sys_ = assemble_np(mesh, phi, np_cfg("supg", 1.0), 0, 0.1)
+    sys_ = assemble_np(mesh, phi, np_cfg("supg", 1.0), 0.1)[0]
     elem = rng.uniform(0.0, 1.0, mesh.n_tets)
     vec = stab_source_vector(mesh, sys_, elem)
     _, _, node_w = oracles.oracle_supg_parts(mesh, phi, 1.0, 1.0)
@@ -389,8 +389,8 @@ def test_eafe_zero_potential_reduces_to_stiffness():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     tau = 0.02
     sys_ = assemble_np(
-        mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), 0, tau, apply_dirichlet=False
-    )
+        mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), tau, apply_dirichlet=False
+    )[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
     assert np.abs(to_dense(sys_.matrix) - expect).max() < 1e-13
 
@@ -402,7 +402,7 @@ def test_transport_column_sums_zero(scheme):
     rng = np.random.default_rng(7)
     phi = rng.uniform(-1.5, 1.5, mesh.n_nodes)
     tau = 0.01
-    sys_ = assemble_np(mesh, phi, np_cfg(scheme, 0.7), 0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, phi, np_cfg(scheme, 0.7), tau, apply_dirichlet=False)[0]
     transport_cols = (
         sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
     ) / tau
@@ -417,7 +417,7 @@ def test_eafe_entries_match_edge_quadrature():
     rng = np.random.default_rng(8)
     phi = rng.uniform(-1.0, 1.0, 5)
     tau, c = 0.03, 0.179
-    sys_ = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
+    sys_ = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
@@ -504,7 +504,7 @@ def test_eafe_edge_assembly_matches_per_tet_kernel(c):
     mesh = jittered_box()
     phi = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
     tau = 0.02
-    ours = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
+    ours = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * oracles.eafe_per_tet(mesh, phi, c)
     assert np.abs(to_dense(ours.matrix) - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -513,7 +513,7 @@ def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
     mesh = jittered_box()
     phi = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
     tau, c = 0.02, 0.7
-    ours = assemble_np(mesh, phi, np_cfg("eafe", c), 0, tau, apply_dirichlet=False)
+    ours = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
@@ -522,7 +522,7 @@ def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
 
 def test_eafe_pattern_drops_exactly_the_zero_weight_edges():
     mesh = jittered_box()
-    a = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.7), 0, 0.02).matrix
+    a = assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.7), 0.02)[0].matrix
     stored = set(zip(a.rows().tolist(), a.indices.tolist()))
     weights = summed_edge_weights(mesh)
     for (i, j), w in weights.items():
@@ -542,9 +542,11 @@ def test_eafe_one_bernoulli_call_per_assembly(monkeypatch):
 
     monkeypatch.setattr(assembly, "bernoulli", counting)
     phi = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_nodes)
-    for species in (0, 1):
-        assemble_np(mesh, phi, np_cfg("eafe", 0.7), species, 0.02)
-    assert sizes == [kept, kept]
+    # one call assembles both species; B depends on c only through |c|
+    for drift, calls in (((0.7, -0.7), 1), ((0.7, -1.3), 2)):
+        sizes.clear()
+        assemble_np(mesh, phi, SchemeConfig(scheme="eafe", drift=drift), 0.02)
+        assert sizes == [kept] * calls
 
 
 @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 30.0, 700.0, 750.0])
@@ -564,9 +566,33 @@ def test_assemblers_match_oracle_random_potentials(scheme):
     cfg = SchemeConfig(scheme=scheme, drift=(0.179, -0.179), supg_scale=1.0)
     for trial in range(5):
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        ours = assemble_np(mesh, phi, cfg, 0, tau)
+        ours = assemble_np(mesh, phi, cfg, tau)[0]
         expect = oracles.oracle_np_matrix(mesh, phi, 0.179, tau, scheme)
         assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+@pytest.mark.parametrize("drift", [(0.7, -1.3), (0.179, 0.0), (0.179, -0.179)])
+@pytest.mark.parametrize("make", [lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
+                                  jittered_box], ids=["box48", "jittered"])
+def test_both_species_match_oracle(scheme, drift, make):
+    # c_2 = -c_1 in the benchmark, so only unequal magnitudes catch a mix-up
+    mesh = make()
+    phi = np.random.default_rng(12).uniform(-1.5, 1.5, mesh.n_nodes)
+    tau = 0.01
+    cfg = SchemeConfig(scheme=scheme, drift=drift)
+    for bc in (True, False):
+        systems = assemble_np(mesh, phi, cfg, tau, apply_dirichlet=bc)
+        assert len(systems) == 2
+        for c, system in zip(drift, systems):
+            expect = oracles.oracle_np_matrix(mesh, phi, c, tau, scheme, apply_bc=bc)
+            scale = max(1.0, np.abs(expect).max())
+            assert np.abs(to_dense(system.matrix) - expect).max() < 1e-10 * scale
+            if scheme == "supg":   # the oracle's node weights are -c c_K d_i
+                w = oracles.oracle_supg_parts(mesh, phi, c, 1.0)[2]
+                assert np.abs(system.stab_grad_weights - w).max() <= 1e-12 * np.abs(w).max()
+            else:
+                assert system.stab_grad_weights is None
 
 
 def test_dispatcher_selects_scheme():
@@ -576,8 +602,8 @@ def test_dispatcher_selects_scheme():
     tau = 0.1
     cfg_fem = SchemeConfig(scheme="fem")
     cfg_eafe = SchemeConfig(scheme="eafe")
-    a = to_dense(assemble_np(mesh, phi, cfg_fem, 0, tau, apply_dirichlet=False).matrix)
-    b = to_dense(assemble_np(mesh, phi, cfg_eafe, 0, tau, apply_dirichlet=False).matrix)
+    a = to_dense(assemble_np(mesh, phi, cfg_fem, tau, apply_dirichlet=False)[0].matrix)
+    b = to_dense(assemble_np(mesh, phi, cfg_eafe, tau, apply_dirichlet=False)[0].matrix)
     assert np.abs(a - b).max() > 1e-6  # genuinely different operators
 
 

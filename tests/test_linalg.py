@@ -115,7 +115,7 @@ def box_operators(mesh):
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
     yield assemble_stiffness(mesh)
     for scheme in ("fem", "supg", "eafe"):
-        yield assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0, 0.05).matrix
+        yield assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0.05)[0].matrix
 
 
 def test_spmv_matches_dense_on_box_operators():
@@ -223,7 +223,7 @@ def test_solve_general_matches_dense_on_np_system():
     mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(3)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    system = assemble_np(mesh, phi, eafe_cfg(0.179), 0, (1.0 / 4.0) ** 2)
+    system = assemble_np(mesh, phi, eafe_cfg(0.179), (1.0 / 4.0) ** 2)[0]
     b = rng.standard_normal(mesh.n_nodes)
     it = solve_general(system.matrix, b, tol=1e-12)
     dense = np.linalg.solve(to_dense(system.matrix), b)
@@ -283,7 +283,7 @@ def test_mmatrix_check_assembled_eafe_interior():
     mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(11)
     phi = rng.uniform(-2.0, 2.0, mesh.n_nodes)
-    system = assemble_np(mesh, phi, eafe_cfg(0.179), 0, (1.0 / 4.0) ** 2)
+    system = assemble_np(mesh, phi, eafe_cfg(0.179), (1.0 / 4.0) ** 2)[0]
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     assert column_mmatrix_check(sub).verdict
 
@@ -292,7 +292,7 @@ def test_mmatrix_verdict_invariant_under_symmetric_permutation():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(5)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    system = assemble_np(mesh, phi, eafe_cfg(0.5), 0, 0.05)
+    system = assemble_np(mesh, phi, eafe_cfg(0.5), 0.05)[0]
     sub = interior_submatrix(system.matrix, ~mesh.boundary)
     perm = rng.permutation(sub.n)
     dense = to_dense(sub)[np.ix_(perm, perm)]
@@ -334,7 +334,7 @@ def test_interior_submatrix_matches_coo_build_on_assembled_matrices(scheme):
     mesh = build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3)
     rng = np.random.default_rng(3)
     phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    a = assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0, 0.05).matrix
+    a = assemble_np(mesh, phi, SchemeConfig(scheme=scheme), 0.05)[0].matrix
     for keep in (~mesh.boundary, rng.random(mesh.n_nodes) < 0.5):
         assert_same_csr(interior_submatrix(a, keep), interior_submatrix_coo(a, keep))
 

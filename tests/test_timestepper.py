@@ -124,6 +124,23 @@ def test_f_vector_bookkeeping():
     assert np.abs(f - m * p - tau * g).max() < 1e-16
 
 
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_one_assembly_per_sweep_and_per_step(monkeypatch, scheme):
+    # both species come from one call: one per sweep, one per step's diagnostics
+    calls = []
+    original = assembly.assemble_np
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_np", counting)
+    mesh = build_box_mesh(2, *BOX)
+    result = run_transient(mesh, scheme_config(scheme), transient_problem(T=0.02, tau=0.01))
+    assert len(result.reports) == len(result.diagnostics) == 2
+    assert len(calls) == sum(r.iterations for r in result.reports) + len(result.reports)
+
+
 def test_single_step_solves_np_system():
     # after one step the accepted concentration solves its own system
     mesh = build_box_mesh(3, *BOX)
@@ -132,7 +149,7 @@ def test_single_step_solves_np_system():
     tc = transient_problem(T=tau, tau=tau)
     result = run_transient(mesh, scfg, tc)
     state = result.state
-    system = assembly.assemble_np(mesh, state.phi, scfg, 0, tau)
+    system = assembly.assemble_np(mesh, state.phi, scfg, tau)[0]
     g1 = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(tau)[1])
     rhs = tau * g1  # previous concentrations are zero
     rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary])(tau)[1]
