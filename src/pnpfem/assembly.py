@@ -1,10 +1,11 @@
 """Global operators for the coupled potential/concentration system.
 
 Matrices live on one sparsity pattern per mesh (node adjacency), built once
-and cached, and are assembled by vectorized element kernels and a fixed-order
-scatter-add; eafe is assembled per edge, on that pattern pruned of zero-weight
-edges.  Polynomial integrands are integrated in closed form; other fields
-are integrated from values the caller samples at ``quadrature_points``.
+and cached.  Only the stiffness is scattered from element matrices; the
+concentration operators are sums of edge values, each diagonal entry minus
+the rest of its column (eafe on the pattern pruned of zero-weight edges).
+Polynomial integrands are integrated in closed form; other fields are
+integrated from values the caller samples at ``quadrature_points``.
 
 The three concentration operators share one entry point, ``assemble_np``,
 and the contract
@@ -16,8 +17,8 @@ streamline-stabilized variant, or the exponentially fitted (edge-averaged)
 operator.  One call assembles both species at one potential: they differ only
 through their drift c, so grad(phi_h), d_i = grad(phi_h).grad(psi_i), the
 supg parameter and the Bernoulli values are computed once (the last two once
-per distinct |c|).  fem and supg are one pass over the elements, read from the
-axis-major gradients of the mesh geometry; eafe is assembled per edge.  supg
+per distinct |c|).  fem and supg sum element-edge values read from the
+axis-major gradients of the mesh geometry; eafe sums mesh-edge values.  supg
 also changes the right-hand side, by the one per-element load of
 ``stab_source_vector``.  With a zero potential all three collapse to
 mass + tau * A_L, which is the normative check pinning all sign and index
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SparseMatrix
-from .mesh import BoxMesh
+from .mesh import LOCAL_EDGES, BoxMesh
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 SCHEMES = ("fem", "supg", "eafe")
+#: (row, column) corners of the 12 directed local edges: LOCAL_EDGES, then each reversed.
+_EDGE_ENDS = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
 
 
 @dataclass
@@ -83,17 +86,14 @@ class SchemeConfig:
 
 
 class _Workspace:
-    """Per-mesh assembly cache: CSR pattern, scatter slots, constant data."""
+    """Per-mesh assembly cache: CSR pattern, slots, constant data.
 
-    __slots__ = (
-        "pattern",
-        "slots",
-        "diag_slots",
-        "stiffness_data",
-        "lumped",
-        "_edges",
-        "_potential",
-    )
+    Set-up scatters the stiffness through an (M, 16) slot table; the first
+    concentration assembly replaces it by the ``edge_slots`` all schemes read.
+    """
+
+    __slots__ = ("pattern", "_table", "_edge_slots", "diag_slots", "stiffness_data", "lumped",
+                 "_edges", "_potential")
 
     def __init__(self, mesh: BoxMesh):
         tets = mesh.tets
@@ -103,10 +103,8 @@ class _Workspace:
         indices = unique_keys % n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
-        self.pattern = SparseMatrix(
-            n, indptr, indices, np.zeros(unique_keys.size), _checked=True
-        )
-        self.slots = inverse.reshape(tets.shape[0], 4, 4)
+        self.pattern = SparseMatrix(n, indptr, indices, np.zeros(unique_keys.size), _checked=True)
+        self._table, self._edge_slots = inverse.reshape(tets.shape[0], 16), None
         diag_keys = np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
         self.diag_slots = np.searchsorted(unique_keys, diag_keys)
         if not np.array_equal(unique_keys[self.diag_slots], diag_keys):
@@ -115,19 +113,24 @@ class _Workspace:
         geo = mesh.geometry
         gl = geo.grad_lambda
         local = geo.volumes[:, None, None] * np.einsum("mid,mjd->mij", gl, gl)
-        self.stiffness_data = self._scatter(local)
-        self.lumped = np.bincount(
-            tets.ravel(),
-            weights=np.repeat(geo.volumes, 4),
-            minlength=n,
-        )
+        self.stiffness_data = np.bincount(inverse, weights=local.ravel())
+        self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
         self._edges = None  # the eafe _EdgeTable, built on first use
         self._potential = None  # potential_system(mesh), built on first use
 
-    def _scatter(self, local_vals) -> np.ndarray:
-        """Sum local values, (M, 4, 4) or broadcast to it, into the pattern's slots."""
-        local = np.ascontiguousarray(np.broadcast_to(local_vals, self.slots.shape))
-        return np.bincount(self.slots.ravel(), weights=local.ravel(), minlength=self.pattern.nnz)
+    @property
+    def edge_slots(self) -> np.ndarray:
+        """(2, 6, M): per LOCAL_EDGES (nu, mu), the slots of (nu, mu) and of (mu, nu)."""
+        if self._edge_slots is None:
+            pairs = self._table.T[_EDGE_ENDS[0] * 4 + _EDGE_ENDS[1]]           # (12, M)
+            self._edge_slots, self._table = pairs.reshape(2, 6, -1), None
+        return self._edge_slots
+
+    def from_edges(self, vals) -> np.ndarray:
+        """Data of (12, M) values on the ``_EDGE_ENDS`` slots; each column sums to 0."""
+        data = np.bincount(self.edge_slots.ravel(), vals.ravel(), minlength=self.pattern.nnz)
+        data[self.diag_slots] = -np.bincount(self.pattern.indices, weights=data)
+        return data
 
 
 class _EdgeTable:
@@ -144,8 +147,7 @@ class _EdgeTable:
         full, rows = ws.pattern, ws.pattern.rows()
         # (a, b) with a < b precedes (b, a) in CSR order, so the smaller slot
         # of a local pair is the upper entry and the larger its transpose
-        iu, ju = np.triu_indices(4, 1)
-        s_ij, s_ji = ws.slots[:, iu, ju].ravel(), ws.slots[:, ju, iu].ravel()
+        s_ij, s_ji = ws.edge_slots.reshape(2, -1)
         transpose = np.empty(full.nnz, dtype=np.int64)
         transpose[np.minimum(s_ij, s_ji)] = np.maximum(s_ij, s_ji)
         upper = np.flatnonzero((rows < full.indices) & (ws.stiffness_data != 0.0))
@@ -160,12 +162,14 @@ class _EdgeTable:
                                      self.diag_slots[self.a], self.diag_slots[self.b]))
 
     def transport(self, phi: np.ndarray, drift) -> list[np.ndarray]:
-        """Per c in ``drift``, entry (a, b) is -weight * B(c (phi_a - phi_b)); columns sum to 0.
+        """Per c in ``drift``, entry (a, b) is -weight * B(c (phi_a - phi_b)).
 
-        B(-|t|) = B(|t|) + |t| saves the second Bernoulli evaluation and, unlike
-        B(t) - t, does not cancel: at t = -30 that would keep about 3 digits.
-        Both depend on c only through |c|, so ``bernoulli`` runs once per
-        distinct |c|; for c_2 = -c_1 the forward and backward weights swap.
+        Each edge puts minus its entries on the diagonal of their columns, so
+        columns sum to 0 as in ``_Workspace.from_edges``.  B(-|t|) = B(|t|) + |t|
+        saves the second Bernoulli evaluation and, unlike B(t) - t, does not
+        cancel: at t = -30 that would keep about 3 digits.  Both depend on c only
+        through |c|, so ``bernoulli`` runs once per distinct |c|; for c_2 = -c_1
+        the forward and backward weights swap.
         """
         dphi, out = phi[self.a] - phi[self.b], []
         t_abs = {m: m * np.abs(dphi) for m in {abs(c) for c in drift}}
@@ -381,15 +385,15 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
     """Both species' systems, lumped mass + tau * transport(phi), in cfg.drift order.
 
     The species differ only through their drift c, so the phi-dependent work
-    is done once.  fem and supg take one pass over the elements; d_i =
-    grad(phi_h).grad(psi_i) is constant on each tet K.  fem scatters tau C(phi),
-    whose local rows are the constant tau vol_K d_i / 4, once and adds c times
-    it to tau A_L.  supg adds tau c^2 c_K vol_K d_i d_j (streamline) and
-    -c c_K vol_K d_i / 4 (time rows) to the local matrix of tau c C(phi), with
-    c_K and the streamline term computed once per distinct |c|, and returns
-    w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
-    edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The mass
-    stays lumped: positive off-diagonal entries of a consistent mass would
+    is done once.  d_i = grad(phi_h).grad(psi_i) is constant on each tet K and
+    sums to 0 there, so fem and supg sum their transport over element edges
+    (nu, mu), and ``from_edges`` sets each diagonal entry to zero its column.
+    Entry (nu, mu) gets c r_nu, r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem):
+    tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
+    term tau c^2 c_K vol_K d_nu d_mu, with c_K, r and it once per distinct |c|,
+    and returns w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe
+    is the edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The
+    mass stays lumped: positive off-diagonal entries of a consistent mass would
     break the eafe column M-matrix property.
     """
     phi = np.asarray(phi, dtype=float)
@@ -408,11 +412,11 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
         space, geo, g = ws, mesh.geometry, mesh.geometry.grad_axes        # g: (4, 3, M)
         p = phi[mesh.tets.T]
         gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
-        d = np.ascontiguousarray((gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]).T)
-        quarter_vol = 0.25 * geo.volumes[:, None]                       # int_K psi_j
+        d = gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]   # (4, M)
+        d_row, quarter_vol = d[_EDGE_ENDS[0]], 0.25 * geo.volumes   # d at row corners; int_K psi_j
         base = tau * ws.stiffness_data
         if cfg.scheme == "fem":
-            conv = ws._scatter((tau * quarter_vol * d)[:, :, None])
+            conv = ws.from_edges(tau * quarter_vol * d_row)
             datas = [base + c * conv for c in cfg.drift]
         else:
             speed, h_k, terms, datas = np.linalg.norm(gphi, axis=0), geo.diameters, {}, []
@@ -421,13 +425,13 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
                 c_k = np.where(0.5 * h_k * cs >= 1.0,                      # cell Peclet number
                                cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
                                cfg.supg_scale * h_k * h_k / 4.0)
-                w = (-m * c_k[:, None] * d)[:, :, None]
-                terms[m] = c_k, (-tau * m * geo.volumes)[:, None, None] * w * d[:, None]
+                stream = (tau * m * m) * c_k * geo.volumes * d_row[:6] * d_row[6:]
+                terms[m] = (c_k, ws.from_edges((tau - c_k) * quarter_vol * d_row),
+                            ws.from_edges(np.concatenate((stream, stream))))
             for i, c in enumerate(cfg.drift):
-                c_k, stream = terms[abs(c)]
-                stab_w[i] = -c * c_k[:, None] * d                          # w_K.grad(psi_i)
-                rows = tau * c * quarter_vol * d + quarter_vol * stab_w[i]
-                datas.append(base + ws._scatter(rows[:, :, None] + stream))
+                c_k, rows, stream = terms[abs(c)]
+                stab_w[i] = (-c * c_k * d).T                              # w_K.grad(psi_i)
+                datas.append(base + c * rows + stream)
     fixed = mesh.boundary[space.pattern.rows()] if apply_dirichlet else None
     for data in datas:
         data[space.diag_slots] += ws.lumped / 4.0

@@ -397,16 +397,20 @@ def test_eafe_zero_potential_reduces_to_stiffness():
 
 @pytest.mark.parametrize("scheme", ["eafe", "fem", "supg"])
 def test_transport_column_sums_zero(scheme):
-    # sum_i d_i = 0, so convection, streamline and time rows add nothing either
-    mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
-    rng = np.random.default_rng(7)
-    phi = rng.uniform(-1.5, 1.5, mesh.n_nodes)
-    tau = 0.01
-    sys_ = assemble_np(mesh, phi, np_cfg(scheme, 0.7), tau, apply_dirichlet=False)[0]
-    transport_cols = (
-        sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
-    ) / tau
-    assert np.abs(transport_cols).max() < 1e-12
+    # sum_i d_i = 0, so convection, streamline and time rows add nothing either;
+    # the diagonal is built from this property, so check it on a jittered mesh,
+    # for both species and for unequal |c| too
+    for mesh in (build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3), jittered_box()):
+        rng = np.random.default_rng(7)
+        phi = rng.uniform(-1.5, 1.5, mesh.n_nodes)
+        tau = 0.01
+        for drift in ((0.7, -0.7), (0.7, -1.3)):
+            cfg = SchemeConfig(scheme=scheme, drift=drift)
+            for sys_ in assemble_np(mesh, phi, cfg, tau, apply_dirichlet=False):
+                transport_cols = (
+                    sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
+                ) / tau
+                assert np.abs(transport_cols).max() < 1e-12
 
 
 def test_eafe_entries_match_edge_quadrature():
@@ -481,6 +485,60 @@ def test_potential_system_is_built_once_per_mesh(make, on_grid):
         assert np.array_equal(getattr(matrix, name), getattr(expect, name))
     # building it leaves the workspace stiffness untouched
     assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
+
+
+@pytest.mark.parametrize("make", [lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
+                                  jittered_box], ids=["box48", "jittered"])
+@pytest.mark.parametrize("scheme", ["fem", "supg"])
+def test_edge_slots_address_the_local_edges(make, scheme):
+    mesh = make()
+    ws = assembly._workspace(mesh)
+    assemble_stiffness(mesh)
+    assert ws._edge_slots is None and ws._table.shape == (mesh.n_tets, 16)
+    assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
+    # the edge slots replace the (M, 4, 4) slot table; no array of M * 16 entries is kept
+    held = [getattr(ws, name) for name in assembly._Workspace.__slots__]
+    assert all(np.size(a) != mesh.n_tets * 16 for a in held if isinstance(a, np.ndarray))
+    rows, cols = ws.pattern.rows(), ws.pattern.indices
+    nu, mu = np.array(LOCAL_EDGES).T
+    assert ws.edge_slots.shape == (2, 6, mesh.n_tets)
+    for k, (r, c) in enumerate(((nu, mu), (mu, nu))):
+        assert np.array_equal(rows[ws.edge_slots[k]], mesh.tets[:, r].T)
+        assert np.array_equal(cols[ws.edge_slots[k]], mesh.tets[:, c].T)
+
+
+def test_eafe_lower_slots_are_the_transposes_of_the_upper():
+    mesh = jittered_box()
+    assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.7), 0.01)
+    edges = assembly._workspace(mesh)._edges
+    pat, n_edges = edges.pattern, edges.a.size
+    upper, lower = edges.slots[:n_edges], edges.slots[n_edges:2 * n_edges]
+    assert np.array_equal(pat.rows()[upper], edges.a)
+    assert np.array_equal(pat.indices[upper], edges.b)
+    for a, b, slot in zip(edges.a, edges.b, lower):   # (b, a), searched for in row b
+        start = pat.indptr[b]
+        assert slot == start + np.searchsorted(pat.indices[start:pat.indptr[b + 1]], a)
+        assert pat.indices[slot] == a
+
+
+def test_workspace_setup_gathers_no_edge_slots(monkeypatch):
+    # an eager gather in set-up would cost every run, eafe ones included
+    gathers = []
+    fget = assembly._Workspace.edge_slots.fget
+
+    def counting(ws):
+        gathers.append(ws._edge_slots is None)
+        return fget(ws)
+
+    monkeypatch.setattr(assembly._Workspace, "edge_slots", property(counting))
+    mesh = build_box_mesh(3)
+    assemble_stiffness(mesh)
+    assembly.potential_system(mesh)
+    lumped_volumes(mesh)
+    assert gathers == []
+    for scheme in ("fem", "supg", "eafe"):
+        assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
+    assert sum(gathers) == 1     # gathered once, on the first concentration assembly
 
 
 def summed_edge_weights(mesh):
