@@ -1,9 +1,10 @@
 """Global operators for the coupled potential/concentration system.
 
 Matrices live on one sparsity pattern per mesh (node adjacency), built once
-and cached.  Only the stiffness is scattered from element matrices; the
-concentration operators are sums of edge values, each diagonal entry minus
-the rest of its column (eafe on the pattern pruned of zero-weight edges).
+from the mesh edges and cached.  Every operator is a sum of edge values, each
+diagonal entry minus the rest of its column: the stiffness -sum omega_e per
+mesh edge, the concentration operators their transport (eafe on the pattern
+pruned of zero-weight edges).
 Polynomial integrands are integrated in closed form; other fields are
 integrated from values the caller samples at ``quadrature_points``.
 
@@ -86,49 +87,63 @@ class SchemeConfig:
 
 
 class _Workspace:
-    """Per-mesh assembly cache: CSR pattern, slots, constant data.
+    """Per-mesh assembly cache, built from the mesh edges: pattern, slots, constant data.
 
-    Set-up scatters the stiffness through an (M, 16) slot table; the first
-    concentration assembly replaces it by the ``edge_slots`` all schemes read.
+    Mesh edge k joins nodes ``ends[0][k] < ends[1][k]``, has slots ``upper[k]``
+    and ``lower[k]`` for (a, b) and (b, a) and ``weight[k]``, the sum of omega
+    over its tets: the stiffness is -weight there, with zero column sums.
+    ``edge_slots`` (2, 6, M) holds per LOCAL_EDGES (nu, mu) the slots of (nu, mu), (mu, nu).
     """
 
-    __slots__ = ("pattern", "_table", "_edge_slots", "diag_slots", "stiffness_data", "lumped",
-                 "_edges", "_potential")
+    __slots__ = ("pattern", "edge_slots", "diag_slots", "ends", "weight", "upper", "lower",
+                 "stiffness_data", "lumped", "_edges", "_potential")
 
     def __init__(self, mesh: BoxMesh):
-        tets = mesh.tets
-        n = mesh.n_nodes
-        keys = (tets[:, :, None] * n + tets[:, None, :]).ravel()
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        indices = unique_keys % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
-        self.pattern = SparseMatrix(n, indptr, indices, np.zeros(unique_keys.size), _checked=True)
-        self._table, self._edge_slots = inverse.reshape(tets.shape[0], 16), None
-        diag_keys = np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
-        self.diag_slots = np.searchsorted(unique_keys, diag_keys)
-        if not np.array_equal(unique_keys[self.diag_slots], diag_keys):
+        geo, tets, n = mesh.geometry, mesh.tets, mesh.n_nodes
+        first, second = (tets[:, list(e)] for e in zip(*LOCAL_EDGES))   # (M, 6), as omega
+        fwd = first < second
+        keys = np.where(fwd, first * n + second, second * n + first).ravel()
+        del first, second
+        keys, inverse = np.unique(keys, return_inverse=True)
+        self.ends = a, b = np.divmod(keys, n)
+        degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        if not degree.all():
             raise AssertionError("mesh has nodes that belong to no element")
-
-        geo = mesh.geometry
-        gl = geo.grad_lambda
-        local = geo.volumes[:, None, None] * np.einsum("mid,mjd->mij", gl, gl)
-        self.stiffness_data = np.bincount(inverse, weights=local.ravel())
+        # the N diagonal, E upper and E lower keys, sorted once into CSR order
+        nodes = np.arange(n)
+        order = np.argsort(np.concatenate((nodes * (n + 1), keys, b * n + a)))
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        self.diag_slots, self.upper, self.lower = np.split(slot, (n, n + keys.size))
+        self.pattern = SparseMatrix(n, np.concatenate(([0], np.cumsum(degree + 1))),
+                                    np.concatenate((nodes, b, a))[order], np.zeros(order.size),
+                                    _checked=True)
+        del order, slot, keys
+        self.weight = w = np.bincount(inverse, weights=geo.omega.ravel(), minlength=a.size)
+        self.stiffness_data = data = np.zeros(self.pattern.nnz)
+        data[self.upper] = data[self.lower] = -w
+        data[self.diag_slots] = np.bincount(a, w, n) + np.bincount(b, w, n)   # zero column sums
+        # (nu, mu) of a tet is its edge's (a, b) where tets[nu] < tets[mu], else (b, a)
+        inverse = np.ascontiguousarray(inverse.reshape(-1, 6).T)                  # (6, M)
+        upper, lower = self.upper[inverse], self.lower[inverse]
+        del inverse
+        ahead = np.where(fwd.T, upper, lower)
+        self.edge_slots = np.stack((ahead, upper + lower - ahead))    # (nu, mu), (mu, nu)
         self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
         self._edges = None  # the eafe _EdgeTable, built on first use
         self._potential = None  # potential_system(mesh), built on first use
 
-    @property
-    def edge_slots(self) -> np.ndarray:
-        """(2, 6, M): per LOCAL_EDGES (nu, mu), the slots of (nu, mu) and of (mu, nu)."""
-        if self._edge_slots is None:
-            pairs = self._table.T[_EDGE_ENDS[0] * 4 + _EDGE_ENDS[1]]           # (12, M)
-            self._edge_slots, self._table = pairs.reshape(2, 6, -1), None
-        return self._edge_slots
-
     def from_edges(self, vals) -> np.ndarray:
-        """Data of (12, M) values on the ``_EDGE_ENDS`` slots; each column sums to 0."""
-        data = np.bincount(self.edge_slots.ravel(), vals.ravel(), minlength=self.pattern.nnz)
+        """Data of (12, M) values on the ``_EDGE_ENDS`` slots; each column sums to 0.
+
+        (6, M) values of a symmetric term are summed once, on the (nu, mu) slots,
+        and each mesh edge's two slots get the sum of both.
+        """
+        data = np.bincount(self.edge_slots[:len(vals) // 6].ravel(), vals.ravel(),
+                           minlength=self.pattern.nnz)
+        if len(vals) == 6:
+            data[self.upper] += data[self.lower]
+            data[self.lower] = data[self.upper]
         data[self.diag_slots] = -np.bincount(self.pattern.indices, weights=data)
         return data
 
@@ -139,26 +154,22 @@ class _EdgeTable:
     An edge's weight, the sum of omega = -vol * grad_lambda_a . grad_lambda_b
     over its tets, is minus its stiffness entry.  Edges of weight exactly zero
     couple nothing in the eafe operator and are pruned; negative ones stay.
+    Edges, weights and slots are the workspace's, without the pruned edges.
     """
 
     __slots__ = ("pattern", "a", "b", "weight", "slots", "diag_slots")
 
     def __init__(self, ws: _Workspace):
-        full, rows = ws.pattern, ws.pattern.rows()
-        # (a, b) with a < b precedes (b, a) in CSR order, so the smaller slot
-        # of a local pair is the upper entry and the larger its transpose
-        s_ij, s_ji = ws.edge_slots.reshape(2, -1)
-        transpose = np.empty(full.nnz, dtype=np.int64)
-        transpose[np.minimum(s_ij, s_ji)] = np.maximum(s_ij, s_ji)
-        upper = np.flatnonzero((rows < full.indices) & (ws.stiffness_data != 0.0))
+        full, kept = ws.pattern, ws.weight != 0.0
+        upper, lower = ws.upper[kept], ws.lower[kept]
         keep = np.zeros(full.nnz, dtype=bool)
-        keep[np.concatenate((ws.diag_slots, upper, transpose[upper]))] = True
+        keep[ws.diag_slots] = keep[upper] = keep[lower] = True
         kept_before = np.concatenate(([0], np.cumsum(keep)))   # = new slot of a kept entry
         self.pattern = SparseMatrix(full.n, kept_before[full.indptr], full.indices[keep],
                                     np.zeros(kept_before[-1]), _checked=True)
-        self.a, self.b, self.weight = rows[upper], full.indices[upper], -ws.stiffness_data[upper]
+        (self.a, self.b), self.weight = (e[kept] for e in ws.ends), ws.weight[kept]
         self.diag_slots = kept_before[ws.diag_slots]
-        self.slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
+        self.slots = np.concatenate((kept_before[upper], kept_before[lower],
                                      self.diag_slots[self.a], self.diag_slots[self.b]))
 
     def transport(self, phi: np.ndarray, drift) -> list[np.ndarray]:
@@ -390,9 +401,10 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
     (nu, mu), and ``from_edges`` sets each diagonal entry to zero its column.
     Entry (nu, mu) gets c r_nu, r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem):
     tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
-    term tau c^2 c_K vol_K d_nu d_mu, with c_K, r and it once per distinct |c|,
-    and returns w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe
-    is the edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The
+    term tau c^2 c_K vol_K d_nu d_mu (summed once per element edge, put on both
+    slots), with c_K, r and it once per distinct |c|, and returns
+    w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
+    edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The
     mass stays lumped: positive off-diagonal entries of a consistent mass would
     break the eafe column M-matrix property.
     """
@@ -427,7 +439,7 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
                                cfg.supg_scale * h_k * h_k / 4.0)
                 stream = (tau * m * m) * c_k * geo.volumes * d_row[:6] * d_row[6:]
                 terms[m] = (c_k, ws.from_edges((tau - c_k) * quarter_vol * d_row),
-                            ws.from_edges(np.concatenate((stream, stream))))
+                            ws.from_edges(stream))
             for i, c in enumerate(cfg.drift):
                 c_k, rows, stream = terms[abs(c)]
                 stab_w[i] = (-c * c_k * d).T                              # w_K.grad(psi_i)

@@ -213,26 +213,14 @@ def gummel_solve(
         d1 = new.p1 - state.p1
         d2 = new.p2 - state.p2
         dphi = new.phi - state.phi
-        inc_l2.append(
-            (
-                float(np.linalg.norm(d1)),
-                float(np.linalg.norm(d2)),
-                float(np.linalg.norm(dphi)),
-            )
-        )
+        inc_l2.append(tuple(float(np.linalg.norm(d)) for d in (d1, d2, dphi)))
         stacked_inf.append(max(float(np.abs(d1).max()), float(np.abs(d2).max())))
         state = new
         if sum(inc_l2[-1]) <= eps:
             converged = True
             break
 
-    ratios = np.array(
-        [
-            stacked_inf[j + 1] / stacked_inf[j]
-            for j in range(len(stacked_inf) - 1)
-            if stacked_inf[j] > 0.0
-        ]
-    )
+    ratios = np.array([b / a for a, b in zip(stacked_inf, stacked_inf[1:]) if a > 0.0])
     nonzero = ratios[ratios > 0.0]
     report = GummelReport(
         iterations=len(inc_l2),

@@ -9,8 +9,8 @@ a sparse-algebra dependency: every system solved here is either symmetric
 positive definite on the free unknowns or a well-conditioned M-matrix
 perturbation of a diagonal, and the solvers verify the true residual before
 declaring success (one product for a start that already meets the target).
-A breakdown or a missed target raises ``NonConvergenceError``; no second
-solver takes over.
+A breakdown, a stagnating restart sequence or a missed target raises
+``NonConvergenceError``; no second solver takes over.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ class SolveResult:
 
 def _jacobi(a: SparseMatrix) -> np.ndarray:
     d = a.diagonal()
-    d = np.where(np.abs(d) > 0.0, d, 1.0)
-    return d
+    return np.where(np.abs(d) > 0.0, d, 1.0)
 
 
 def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResult:
@@ -232,8 +231,9 @@ def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResu
 def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResult:
     """Jacobi-preconditioned BiCGSTAB.
 
-    Same residual contract as ``solve_spd``.  A breakdown (a vanishing
-    inner product) or a missed target after ``maxit`` iterations raises
+    Same residual contract as ``solve_spd``.  A breakdown (a vanishing inner
+    product), stagnation (3 restarts from the true residual in a row without a
+    new lowest one) or a missed target after ``maxit`` iterations raises
     ``NonConvergenceError`` with the true residual and the iteration count.
     """
     b = np.asarray(b, dtype=float)
@@ -254,7 +254,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
     rho = alpha = omega = 1.0
     v = np.zeros(a.n)
     p = np.zeros(a.n)
-    it = 0
+    it, lowest, stale = 0, rnorm, 0     # lowest true residual, restarts since it fell
     while it < maxit:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= target:  # r is the recursive residual: check the true one
@@ -262,6 +262,9 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
             rnorm = float(np.linalg.norm(r))
             if rnorm <= target:
                 return SolveResult(x, it, rnorm, "bicgstab")
+            lowest, stale = min(lowest, rnorm), 0 if rnorm < lowest else stale + 1
+            if stale == 3:
+                break
             r_hat = r.copy()
             rho = alpha = omega = 1.0
             v[:] = 0.0
@@ -297,8 +300,9 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
     rnorm = float(np.linalg.norm(b - spmv(a, x)))
     if rnorm <= target:
         return SolveResult(x, it, rnorm, "bicgstab")
-    # the loop only ends early on a vanishing inner product
-    reason = "breakdown" if it < maxit else f"no convergence in {maxit} iterations"
+    # the loop only ends early on stagnation or a vanishing inner product
+    reason = ("stagnation: 3 restarts without a new lowest true residual" if stale == 3
+              else "breakdown" if it < maxit else f"no convergence in {maxit} iterations")
     raise NonConvergenceError(
         f"bicgstab: {reason} (residual {rnorm:g}, target {target:g})",
         residual=rnorm,

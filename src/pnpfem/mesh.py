@@ -42,39 +42,52 @@ class DegenerateTetError(ValueError):
     """A tetrahedron has zero or negative volume under its stored order."""
 
 
-class _MeshGeometry:
-    """Vectorized per-element geometry for a whole mesh."""
+def _dot3(a, b) -> np.ndarray:
+    """a . b over the leading axis of (3, M) arrays, in the order numpy's einsum sums 3 terms."""
+    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
 
-    # The gradients are stored axis-major: grad_axes[i, d] is the d-th component
-    # of grad(lambda_i) over all elements, one contiguous row of M, so that
-    # sums over corners and axes are full-length multiply-adds.  grad_lambda
-    # is the (M, 4, 3) element-major view of the same memory.
+
+class _MeshGeometry:
+    """Vectorized per-element geometry for a whole mesh, computed axis-major.
+
+    The corners are gathered as one (3, 4, M) array; cross and dot products
+    are written out as full-length multiply-adds over rows of M elements, and
+    the diameters come from squared edge lengths.  grad_axes[i, d] is the d-th
+    component of grad(lambda_i) over all elements, one contiguous row of M;
+    grad_lambda is the (M, 4, 3) element-major view of the same memory.
+    """
+
     __slots__ = ("volumes", "grad_axes", "grad_lambda", "omega", "diameters")
 
     def __init__(self, nodes: np.ndarray, tets: np.ndarray):
-        corners = nodes[tets]                      # (M, 4, 3)
-        u = corners[:, 1] - corners[:, 0]
-        v = corners[:, 2] - corners[:, 0]
-        w = corners[:, 3] - corners[:, 0]
-        det6 = np.einsum("md,md->m", u, np.cross(v, w))
+        x = nodes.T[:, tets.T]                     # (3, 4, M): axis, corner, element
+        sq = np.zeros(tets.shape[0])
+        for nu, mu in LOCAL_EDGES:
+            dx = x[:, mu] - x[:, nu]
+            np.maximum(sq, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2], out=sq)
+        self.diameters = np.sqrt(sq)
+        u, v, w = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+        del x, sq, dx                  # freed before the gradients, the peak here
+
+        g = self.grad_axes = np.empty((4, *u.shape))     # (4, 3, M), C order
+        for i, (a, b) in enumerate(((v, w), (w, u), (u, v)), start=1):   # g_i = a x b
+            for d, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.subtract(a[j] * b[k], a[k] * b[j], out=g[i, d])
+        det6 = _dot3(u, g[1])
         bad = np.flatnonzero(det6 <= 0.0)
         if bad.size:
             raise DegenerateTetError(
                 f"tet {bad[0]} has nonpositive volume {det6[bad[0]] / 6.0:g} "
                 f"({bad.size} offending tets in total)"
             )
-        self.diameters = diam = np.zeros(tets.shape[0])
-        for nu, mu in LOCAL_EDGES:
-            np.maximum(diam, np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1), out=diam)
-
-        grad = [None] + [np.cross(a, b) / det6[:, None] for a, b in ((v, w), (w, u), (u, v))]
-        grad[0] = -(grad[1] + grad[2] + grad[3])
-        del corners, u, v, w          # freed before the axis-major copy, the peak here
+        del u, v, w
+        g[1:] /= det6
+        np.negative(g[1] + g[2] + g[3], out=g[0])
         self.volumes = det6 / 6.0
-        self.omega = np.stack([-self.volumes * np.einsum("md,md->m", grad[mu], grad[nu])
-                               for nu, mu in LOCAL_EDGES], axis=1)
-        self.grad_axes = np.array([g.T for g in grad])     # (4, 3, M), C order
-        self.grad_lambda = self.grad_axes.transpose(2, 0, 1)
+        self.omega = np.empty((tets.shape[0], len(LOCAL_EDGES)))
+        for e, (nu, mu) in enumerate(LOCAL_EDGES):
+            np.multiply(-self.volumes, _dot3(g[mu], g[nu]), out=self.omega[:, e])
+        self.grad_lambda = g.transpose(2, 0, 1)
 
 
 class BoxMesh:
@@ -143,30 +156,14 @@ class BoxMesh:
         return cls(nodes, tets, boundary)
 
 
-def _perm_sign(perm) -> int:
-    inversions = sum(
-        1
-        for a, b in itertools.combinations(range(len(perm)), 2)
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
-_KUHN_CORNERS = []
-for _perm in itertools.permutations((0, 1, 2)):
-    _c0 = np.zeros(3, dtype=np.int64)
-    _c1 = _c0.copy()
-    _c1[_perm[0]] = 1
-    _c2 = _c1.copy()
-    _c2[_perm[1]] = 1
-    _c3 = np.ones(3, dtype=np.int64)
-    if _perm_sign(_perm) > 0:
-        _KUHN_CORNERS.append(np.stack([_c0, _c1, _c2, _c3]))
-    else:
-        # odd permutation: swap the two middle vertices to restore
-        # positive orientation
-        _KUHN_CORNERS.append(np.stack([_c0, _c2, _c1, _c3]))
-_KUHN_CORNERS = np.stack(_KUHN_CORNERS)           # (6, 4, 3) corner offsets
+# Corner lattice offsets (6, 4, 3) of a cell's Kuhn tets: tet k walks from (0, 0, 0)
+# to (1, 1, 1) one axis at a time, along the k-th permutation of the axes; odd
+# permutations swap the two middle corners to keep the orientation positive.
+_KUHN_CORNERS = np.array([
+    path if np.linalg.det(steps) > 0 else path[[0, 2, 1, 3]]
+    for steps in (np.eye(3, dtype=np.int64)[list(p)] for p in itertools.permutations(range(3)))
+    for path in [np.vstack(([0, 0, 0], np.cumsum(steps, axis=0)))]
+])
 
 
 def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:

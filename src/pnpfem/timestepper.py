@@ -186,16 +186,9 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             if cfg.scheme == "supg":   # int_K (p^n_h + tau F); int_K psi_j = vol / 4
                 p_int = 0.25 * mesh.geometry.volumes * state.concentrations()[:, mesh.tets].sum(-1)
                 stab_int = p_int + tau_n * assembly.element_integrals(mesh, sources[1:])
-            problem = StepProblem(
-                mesh=mesh,
-                cfg=cfg,
-                tau=tau_n,
-                t_next=t_next,
-                g_phi=loads[0],
-                f_np=f_np,
-                bc=_boundary_values(mesh, boundary_at, t_next),
-                p_tau_f_elem_int=stab_int,
-            )
+            problem = StepProblem(mesh, cfg, tau_n, t_next, g_phi=loads[0], f_np=f_np,
+                                  bc=_boundary_values(mesh, boundary_at, t_next),
+                                  p_tau_f_elem_int=stab_int)
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
             if report.converged:
                 # refresh the potential against the accepted concentrations so

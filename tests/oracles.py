@@ -13,8 +13,14 @@ for the reference build of ``interior_submatrix``, ``to_dense`` the bridge
 out of it, and
 ``eafe_per_tet`` keeps the package's former per-tet eafe kernel (it uses the
 package's ``bernoulli``) as a reference for the per-edge assembly.
+``element_major_geometry``, ``slot_table_workspace`` and
+``transpose_edge_table`` keep the package's former per-mesh set-up (einsum
+and cross-product geometry, a pattern from 16 keys per element with the
+stiffness scattered from (M, 4, 4) element matrices, and eafe's pruning by a
+transpose map) as references for the set-up built from mesh edges.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
-code paths must decline.
+code paths must decline, and ``five_tet_cube`` a hand-built ``from_cells``
+mesh.
 """
 
 from functools import lru_cache
@@ -212,6 +218,74 @@ def oracle_supg_parts(mesh, phi, c, tau_tilde, q: int = 6):
     return a_stream, s_time, node_w
 
 
+def element_major_geometry(mesh):
+    """(volumes, grad_lambda (M, 4, 3), omega, diameters) from np.cross and einsum."""
+    corners = mesh.nodes[mesh.tets]
+    u, v, w = (corners[:, k] - corners[:, 0] for k in (1, 2, 3))
+    det6 = np.einsum("md,md->m", u, np.cross(v, w))
+    if (det6 <= 0.0).any():
+        raise ValueError("mesh has a tet of nonpositive volume")
+    grad = np.empty((mesh.n_tets, 4, 3))
+    grad[:, 1] = np.cross(v, w) / det6[:, None]
+    grad[:, 2] = np.cross(w, u) / det6[:, None]
+    grad[:, 3] = np.cross(u, v) / det6[:, None]
+    grad[:, 0] = -(grad[:, 1] + grad[:, 2] + grad[:, 3])
+    volumes = det6 / 6.0
+    omega = np.stack([-volumes * np.einsum("md,md->m", grad[:, mu], grad[:, nu])
+                      for nu, mu in LOCAL_EDGES], axis=1)
+    diam = np.zeros(mesh.n_tets)
+    for nu, mu in LOCAL_EDGES:
+        np.maximum(diam, np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1), out=diam)
+    return volumes, grad, omega, diam
+
+
+def slot_table_workspace(mesh):
+    """(pattern, diag_slots, edge_slots (2, 6, M), stiffness data) from 16 keys per tet.
+
+    Every (row, column) pair of every tet is one key; the stiffness is the
+    element matrices vol * grad_lambda_i . grad_lambda_j summed through the
+    (M, 16) slot table, and ``edge_slots`` is gathered from that table.
+    """
+    tets, n = mesh.tets, mesh.n_nodes
+    keys = (tets[:, :, None] * n + tets[:, None, :]).ravel()
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(unique_keys // n, minlength=n), out=indptr[1:])
+    pattern = SparseMatrix(n, indptr, unique_keys % n, np.zeros(unique_keys.size))
+    diag_slots = np.flatnonzero(unique_keys // n == unique_keys % n)
+    if diag_slots.size != n:
+        raise AssertionError("mesh has nodes that belong to no element")
+    volumes, grad, _, _ = element_major_geometry(mesh)
+    local = volumes[:, None, None] * np.einsum("mid,mjd->mij", grad, grad)
+    table = inverse.reshape(mesh.n_tets, 16)
+    ends = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
+    edge_slots = table.T[ends[0] * 4 + ends[1]].reshape(2, 6, -1)
+    return pattern, diag_slots, edge_slots, np.bincount(inverse, weights=local.ravel())
+
+
+def transpose_edge_table(pattern, diag_slots, edge_slots, stiffness_data):
+    """eafe's (pruned pattern, a, b, weight, slots, diag_slots), edges from the stiffness.
+
+    Edges are the upper entries of nonzero stiffness, weight minus that entry;
+    the lower slots come from a transpose map of the full pattern.
+    """
+    rows = pattern.rows()
+    s_ij, s_ji = edge_slots.reshape(2, -1)
+    transpose = np.empty(pattern.nnz, dtype=np.int64)
+    transpose[np.minimum(s_ij, s_ji)] = np.maximum(s_ij, s_ji)
+    upper = np.flatnonzero((rows < pattern.indices) & (stiffness_data != 0.0))
+    keep = np.zeros(pattern.nnz, dtype=bool)
+    keep[np.concatenate((diag_slots, upper, transpose[upper]))] = True
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    pruned = SparseMatrix(pattern.n, kept_before[pattern.indptr], pattern.indices[keep],
+                          np.zeros(kept_before[-1]))
+    a, b = rows[upper], pattern.indices[upper]
+    new_diag = kept_before[diag_slots]
+    slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
+                            new_diag[a], new_diag[b]))
+    return pruned, a, b, -stiffness_data[upper], slots, new_diag
+
+
 def from_coo(n, rows, cols, vals):
     """CSR matrix from coordinate triplets; duplicate entries are summed."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -281,3 +355,14 @@ def jittered_box(n=3, seed=0, amplitude=0.2):
     rng = np.random.default_rng(seed)
     nodes[inner] += rng.uniform(-amplitude, amplitude, (inner.sum(), 3)) / n
     return BoxMesh.from_cells(nodes, base.tets, base.boundary)
+
+
+def five_tet_cube():
+    """The unit cube cut into five tets: the corner tets of nodes 1, 2, 4, 7 and
+    the central tet of 0, 3, 5, 6 (node i at the bits of i as (x, y, z))."""
+    nodes = np.array([[(i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(8)], dtype=float)
+    tets = np.array([[0, 3, 5, 6], [1, 0, 3, 5], [2, 0, 3, 6], [4, 0, 5, 6], [7, 3, 5, 6]])
+    u, v, w = (nodes[tets[:, k]] - nodes[tets[:, 0]] for k in (1, 2, 3))
+    flip = np.einsum("md,md->m", u, np.cross(v, w)) < 0.0
+    tets[flip, 1], tets[flip, 2] = tets[flip, 2], tets[flip, 1]
+    return BoxMesh.from_cells(nodes, tets)

@@ -20,7 +20,7 @@ from pnpfem.assembly import (
     stab_source_vector,
 )
 from pnpfem.linalg import SparseMatrix
-from pnpfem.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh
+from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
 
@@ -487,18 +487,22 @@ def test_potential_system_is_built_once_per_mesh(make, on_grid):
     assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
 
 
+def held_arrays(ws):
+    return [a for a in (getattr(ws, name) for name in assembly._Workspace.__slots__)
+            if isinstance(a, np.ndarray)]
+
+
 @pytest.mark.parametrize("make", [lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
                                   jittered_box], ids=["box48", "jittered"])
 @pytest.mark.parametrize("scheme", ["fem", "supg"])
 def test_edge_slots_address_the_local_edges(make, scheme):
     mesh = make()
     ws = assembly._workspace(mesh)
-    assemble_stiffness(mesh)
-    assert ws._edge_slots is None and ws._table.shape == (mesh.n_tets, 16)
+    # set-up builds the edge slots from the mesh edges; no (M, 4, 4) slot table is kept
+    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws))
+    slots = ws.edge_slots
     assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
-    # the edge slots replace the (M, 4, 4) slot table; no array of M * 16 entries is kept
-    held = [getattr(ws, name) for name in assembly._Workspace.__slots__]
-    assert all(np.size(a) != mesh.n_tets * 16 for a in held if isinstance(a, np.ndarray))
+    assert ws.edge_slots is slots
     rows, cols = ws.pattern.rows(), ws.pattern.indices
     nu, mu = np.array(LOCAL_EDGES).T
     assert ws.edge_slots.shape == (2, 6, mesh.n_tets)
@@ -521,24 +525,90 @@ def test_eafe_lower_slots_are_the_transposes_of_the_upper():
         assert pat.indices[slot] == a
 
 
-def test_workspace_setup_gathers_no_edge_slots(monkeypatch):
-    # an eager gather in set-up would cost every run, eafe ones included
-    gathers = []
-    fget = assembly._Workspace.edge_slots.fget
-
-    def counting(ws):
-        gathers.append(ws._edge_slots is None)
-        return fget(ws)
-
-    monkeypatch.setattr(assembly._Workspace, "edge_slots", property(counting))
+def test_workspace_setup_holds_no_slot_table():
     mesh = build_box_mesh(3)
     assemble_stiffness(mesh)
     assembly.potential_system(mesh)
     lumped_volumes(mesh)
-    assert gathers == []
+    ws = assembly._workspace(mesh)
+    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws))
+    # the upper and lower slots of each mesh edge hold its (a, b) and (b, a)
+    a, b = ws.ends
+    assert np.all(a < b)
+    for slots, rows, cols in ((ws.upper, a, b), (ws.lower, b, a)):
+        assert np.array_equal(ws.pattern.rows()[slots], rows)
+        assert np.array_equal(ws.pattern.indices[slots], cols)
+    # no assembly replaces the set-up's arrays
+    held = held_arrays(ws)
     for scheme in ("fem", "supg", "eafe"):
         assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
-    assert sum(gathers) == 1     # gathered once, on the first concentration assembly
+    assert all(x is y for x, y in zip(held_arrays(ws), held))
+
+
+SETUP_MESHES = {
+    "kuhn4": lambda: build_box_mesh(4),
+    "kuhn8": lambda: build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3),
+    "jittered": jittered_box,
+    "cube5": oracles.five_tet_cube,
+}
+
+
+@pytest.mark.parametrize("make", SETUP_MESHES.values(), ids=SETUP_MESHES.keys())
+def test_edge_setup_matches_slot_table_oracle(make):
+    mesh = make()
+    pattern, diag_slots, edge_slots, stiffness = oracles.slot_table_workspace(mesh)
+    ws = assembly._workspace(mesh)
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(ws.pattern, name), getattr(pattern, name))
+    assert np.array_equal(ws.diag_slots, diag_slots)
+    assert np.array_equal(ws.edge_slots, edge_slots)
+    off = pattern.rows() != pattern.indices
+    assert np.array_equal(ws.stiffness_data[off], stiffness[off])
+    # each diagonal entry is now minus the rest of its column: last bits only
+    assert np.abs(ws.stiffness_data - stiffness).max() <= 1e-15 * np.abs(stiffness).max()
+
+
+@pytest.mark.parametrize("make", SETUP_MESHES.values(), ids=SETUP_MESHES.keys())
+def test_eafe_edge_table_matches_transpose_oracle(make):
+    mesh = make()
+    pruned, *expect = oracles.transpose_edge_table(*oracles.slot_table_workspace(mesh))
+    edges = assembly._EdgeTable(assembly._workspace(mesh))
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(edges.pattern, name), getattr(pruned, name))
+    for ours, old in zip((edges.a, edges.b, edges.weight, edges.slots, edges.diag_slots), expect):
+        assert np.array_equal(ours, old)
+
+
+def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
+    mesh = jittered_box()
+    ws = assembly._workspace(mesh)
+    vals = np.random.default_rng(6).uniform(-1.0, 1.0, (6, mesh.n_tets))
+    once, twice = ws.from_edges(vals), ws.from_edges(np.concatenate((vals, vals)))
+    assert np.array_equal(once[ws.upper], once[ws.lower])
+    assert np.abs(once - twice).max() <= 1e-14 * np.abs(twice).max()
+
+
+def test_grid_solver_found_on_kuhn_boxes_after_edge_setup():
+    # the diagonal's drift stays far inside the stencil check's 1e-12
+    for n in (4, 8, 16, 32):
+        assert assembly.potential_system(build_box_mesh(n, (-0.5,) * 3, (0.5,) * 3))[1] is not None
+
+
+def test_workspace_rejects_a_node_in_no_element():
+    cube = oracles.five_tet_cube()
+    nodes = np.vstack((cube.nodes, [[2.0, 2.0, 2.0]]))
+    mesh = BoxMesh.from_cells(nodes, cube.tets)
+    for build in (assemble_stiffness, oracles.slot_table_workspace):
+        with pytest.raises(AssertionError, match="belong to no element"):
+            build(mesh)
+
+
+@pytest.mark.parametrize("tet", [[0, 2, 1, 3], [0, 1, 1, 3]], ids=["inverted", "repeated"])
+def test_workspace_rejects_degenerate_tets(tet):
+    nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    mesh = BoxMesh.from_cells(nodes, [tet, [0, 1, 2, 3]])
+    with pytest.raises(DegenerateTetError):
+        assemble_stiffness(mesh)
 
 
 def summed_edge_weights(mesh):

@@ -251,6 +251,19 @@ def test_solve_general_nonconvergence_carries_residual():
     assert err.value.iterations == 1 and err.value.residual > 1e-14 * np.sqrt(3.0)
 
 
+def test_solve_general_stops_when_restarts_stagnate():
+    # below the rounding floor the recursive residual keeps falling and the
+    # true one cannot: after 3 restarts without a new lowest true residual the
+    # solve stops, long before maxit
+    rng = np.random.default_rng(0)
+    a = csr_from_dense(rng.uniform(-1.0, 1.0, (20, 20)) + 20.0 * np.eye(20))
+    with pytest.raises(NonConvergenceError) as err:
+        solve_general(a, rng.uniform(-1.0, 1.0, 20), tol=1e-18)
+    assert str(err.value).startswith("bicgstab: stagnation")
+    assert err.value.iterations < 100
+    assert err.value.residual > 1e-18 * np.sqrt(20.0)
+
+
 def test_mmatrix_check_identity_passes():
     rep = column_mmatrix_check(csr_from_dense(np.eye(4)))
     assert rep.verdict

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import jittered_box
+from oracles import element_major_geometry, five_tet_cube, jittered_box
 from pnpfem.mesh import (
     LOCAL_EDGES,
     BoxMesh,
@@ -57,36 +57,19 @@ def test_grad_lambda_partition_of_unity():
     assert np.abs(sums).max() == 0.0
 
 
-def element_major_geometry(mesh):
-    """(volumes, grad_lambda, omega, diameters) built on an (M, 4, 3) gradient array."""
-    corners = mesh.nodes[mesh.tets]
-    u, v, w = (corners[:, k] - corners[:, 0] for k in (1, 2, 3))
-    det6 = np.einsum("md,md->m", u, np.cross(v, w))
-    grad = np.empty((mesh.n_tets, 4, 3))
-    grad[:, 1] = np.cross(v, w) / det6[:, None]
-    grad[:, 2] = np.cross(w, u) / det6[:, None]
-    grad[:, 3] = np.cross(u, v) / det6[:, None]
-    grad[:, 0] = -(grad[:, 1] + grad[:, 2] + grad[:, 3])
-    volumes = det6 / 6.0
-    omega = np.stack([-volumes * np.einsum("md,md->m", grad[:, mu], grad[:, nu])
-                      for nu, mu in LOCAL_EDGES], axis=1)
-    diam = np.zeros(mesh.n_tets)
-    for nu, mu in LOCAL_EDGES:
-        np.maximum(diam, np.linalg.norm(corners[:, mu] - corners[:, nu], axis=1), out=diam)
-    return volumes, grad, omega, diam
-
-
 def test_axis_major_gradients_keep_the_element_geometry():
-    mesh = jittered_box()
-    geo = mesh.geometry
-    volumes, grad, omega, diam = element_major_geometry(mesh)
-    assert np.array_equal(geo.grad_lambda, grad)
-    # grad_lambda is a view of one C-contiguous (4, 3, M) array whose rows
-    # the assembly reads without copying
-    assert geo.grad_lambda.base is geo.grad_axes
-    assert geo.grad_axes.shape == (4, 3, mesh.n_tets) and geo.grad_axes.flags.c_contiguous
-    for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
-        assert np.array_equal(ours, old)
+    meshes = (build_box_mesh(4), build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3), jittered_box(),
+              five_tet_cube())
+    for mesh in meshes:
+        geo = mesh.geometry
+        volumes, grad, omega, diam = element_major_geometry(mesh)
+        assert np.array_equal(geo.grad_lambda, grad)
+        # grad_lambda is a view of one C-contiguous (4, 3, M) array whose rows
+        # the assembly reads without copying
+        assert geo.grad_lambda.base is geo.grad_axes
+        assert geo.grad_axes.shape == (4, 3, mesh.n_tets) and geo.grad_axes.flags.c_contiguous
+        for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
+            assert np.array_equal(ours, old)
 
 
 def test_kuhn_path_tet_geometry():

@@ -271,6 +271,8 @@ def test_bicgstab_failure_aborts_the_run():
     assert ": species 1 solve: bicgstab: " in str(err.value)
     assert err.value.partial.reports == []
     assert isinstance(err.value.__cause__, NonConvergenceError)
+    # stopped by stagnation (iteration 44), not after linear_maxit iterations
+    assert err.value.__cause__.iterations <= 50
 
 
 def test_linear_failure_keeps_the_completed_steps(second_step_species_failure):
