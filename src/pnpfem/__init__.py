@@ -13,7 +13,6 @@ from .assembly import (
     assemble_load,
     assemble_np,
     assemble_stiffness,
-    apply_dirichlet_rows,
     bernoulli,
     lumped_volumes,
 )

@@ -4,7 +4,8 @@ Matrices live on one sparsity pattern per mesh (node adjacency), built once
 from the mesh edges and cached.  Every operator is a sum of edge values, each
 diagonal entry minus the rest of its column: the stiffness -sum omega_e per
 mesh edge, the concentration operators their transport (eafe on the pattern
-pruned of zero-weight edges).
+pruned of zero-weight edges).  Every system solved has identity rows on
+``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
 Polynomial integrands are integrated in closed form; other fields are
 integrated from values the caller samples at ``quadrature_points``.
 
@@ -40,7 +41,6 @@ __all__ = [
     "SchemeConfig",
     "AssembledNP",
     "assemble_stiffness",
-    "apply_dirichlet_rows",
     "lumped_volumes",
     "potential_system",
     "quadrature_points",
@@ -260,44 +260,28 @@ def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
 
     Returns the stiffness with identity rows on ``mesh.boundary`` and, on a
     tensor-grid box, the DST-I solver of its interior block (None elsewhere).
-    Built once per mesh (its arrays are read-only); every potential solve uses it.
+    Built once per mesh (do not write to its arrays); every potential solve uses it.
     """
     ws = _workspace(mesh)
     if ws._potential is None:
-        a = apply_dirichlet_rows(ws.pattern.with_data(ws.stiffness_data), mesh.boundary)
+        a = assemble_stiffness(mesh)
+        _identity_rows(ws, mesh.boundary, [a.data])
         ws._potential = (a, _grid_solver(mesh, a))
     return ws._potential
 
 
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
-    """Stiffness matrix of the potential equation (no boundary treatment).
-
-    Symmetric with zero row sums; apply ``apply_dirichlet_rows`` afterwards
-    to pin constrained nodes.
-    """
+    """Stiffness matrix of the potential equation: symmetric, zero row sums, no boundary rows."""
     ws = _workspace(mesh)
     return ws.pattern.with_data(ws.stiffness_data.copy())
 
 
-def apply_dirichlet_rows(a: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
-    """Replace the rows flagged in ``mask`` by identity rows.
-
-    The result shares the pattern of ``a``, so every flagged row must store
-    its diagonal entry; the mesh workspace pattern stores all of them.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (a.n,):
-        raise ValueError("mask must have one flag per row")
-    rows = a.rows()
-    data = np.where(mask[rows], 0.0, a.data)
-    diag_entries = (rows == a.indices) & mask[rows]
-    hit = np.zeros(a.n, dtype=bool)
-    hit[a.indices[diag_entries]] = True
-    missing = np.flatnonzero(mask & ~hit)
-    if missing.size:
-        raise ValueError(f"constrained row {missing[0]} has no stored diagonal entry")
-    data[diag_entries] = 1.0
-    return a.with_data(data)
+def _identity_rows(space, boundary: np.ndarray, datas) -> None:
+    """Zero the ``boundary`` rows of each ``space.pattern`` data array, 1 on the diagonal."""
+    fixed, diag = boundary[space.pattern.rows()], space.diag_slots[boundary]
+    for data in datas:
+        data[fixed] = 0.0
+        data[diag] = 1.0
 
 
 def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
@@ -369,8 +353,8 @@ class AssembledNP:
     """One species' concentration system for a single implicit step.
 
     ``assemble_np`` returns one per species, in ``SchemeConfig.drift`` order.
-    ``matrix`` is mass + tau * transport (constrained rows already replaced
-    by identity rows when requested).  For supg, ``stab_grad_weights`` holds
+    ``matrix`` is mass + tau * transport, with identity rows on
+    ``mesh.boundary``.  For supg, ``stab_grad_weights`` holds
     w_K.grad(psi_i), one weight per element corner, with which
     ``stab_source_vector`` builds the scheme's right-hand-side term; None for
     fem and eafe.
@@ -391,8 +375,8 @@ def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarr
     return np.bincount(mesh.tets.ravel(), weights=w.ravel(), minlength=mesh.n_nodes)
 
 
-def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
-                apply_dirichlet: bool = True) -> list[AssembledNP]:
+def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
+                tau: float) -> list[AssembledNP]:
     """Both species' systems, lumped mass + tau * transport(phi), in cfg.drift order.
 
     The species differ only through their drift c, so the phi-dependent work
@@ -444,10 +428,7 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float,
                 c_k, rows, stream = terms[abs(c)]
                 stab_w[i] = (-c * c_k * d).T                              # w_K.grad(psi_i)
                 datas.append(base + c * rows + stream)
-    fixed = mesh.boundary[space.pattern.rows()] if apply_dirichlet else None
     for data in datas:
         data[space.diag_slots] += ws.lumped / 4.0
-        if apply_dirichlet:
-            data[fixed] = 0.0
-            data[space.diag_slots[mesh.boundary]] = 1.0
+    _identity_rows(space, mesh.boundary, datas)
     return [AssembledNP(space.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]

@@ -5,10 +5,10 @@ Matrices are stored in compressed-row form; products run on a padded row
 
 The kit deliberately carries its own compressed-row matrix and two classic
 Krylov solvers (Jacobi-preconditioned CG and BiCGSTAB) instead of pulling in
-a sparse-algebra dependency: every system solved here is either symmetric
-positive definite on the free unknowns or a well-conditioned M-matrix
-perturbation of a diagonal, and the solvers verify the true residual before
-declaring success (one product for a start that already meets the target).
+a sparse-algebra dependency.  The potential system is SPD on the free unknowns;
+on Kuhn meshes eafe's systems are column M-matrices and fem's and supg's are
+not (positive off-diagonals on zero-weight edges).  The solvers verify the true
+residual before declaring success (one product for a start meeting the target).
 A breakdown, a stagnating restart sequence or a missed target raises
 ``NonConvergenceError``; no second solver takes over.
 """

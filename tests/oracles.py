@@ -18,6 +18,8 @@ package's ``bernoulli``) as a reference for the per-edge assembly.
 and cross-product geometry, a pattern from 16 keys per element with the
 stiffness scattered from (M, 4, 4) element matrices, and eafe's pruning by a
 transpose map) as references for the set-up built from mesh edges.
+``dirichlet_rows`` is the reference for the identity boundary rows of every
+operator, and ``unconstrained`` the mesh whose operators have none.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
 code paths must decline, and ``five_tet_cube`` a hand-built ``from_cells``
 mesh.
@@ -324,14 +326,16 @@ def csr_from_dense(a):
 
 
 def dirichlet_rows(a, mask):
+    """Dense ``a`` with the rows flagged in ``mask`` replaced by identity rows."""
     out = a.copy()
     out[mask, :] = 0.0
     out[mask, mask] = 1.0
     return out
 
 
-def oracle_np_matrix(mesh, phi, c, tau, scheme, tau_tilde=1.0, apply_bc=True, q=6):
-    """Dense mass + tau * transport for one species, any of the three schemes."""
+def oracle_np_matrix(mesh, phi, c, tau, scheme, tau_tilde=1.0, q=6):
+    """Dense mass + tau * transport for one species, any of the three schemes,
+    with identity rows on ``mesh.boundary``."""
     mass = np.diag(oracle_lumped_mass(mesh, q))
     if scheme == "eafe":
         transport = oracle_eafe_transport(mesh, phi, c)
@@ -342,9 +346,12 @@ def oracle_np_matrix(mesh, phi, c, tau, scheme, tau_tilde=1.0, apply_bc=True, q=
         if scheme == "supg":
             a_stream, s_time, _ = oracle_supg_parts(mesh, phi, c, tau_tilde, q)
             a = a + tau * a_stream + s_time
-    if apply_bc:
-        a = dirichlet_rows(a, mesh.boundary)
-    return a
+    return dirichlet_rows(a, mesh.boundary)
+
+
+def unconstrained(mesh):
+    """The same nodes and tets with no Dirichlet node: operators without identity rows."""
+    return BoxMesh.from_cells(mesh.nodes, mesh.tets, np.zeros(mesh.n_nodes, dtype=bool))
 
 
 def jittered_box(n=3, seed=0, amplitude=0.2):

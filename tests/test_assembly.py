@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import jittered_box, to_dense
+from oracles import jittered_box, to_dense, unconstrained
 from pnpfem import assembly
 from pnpfem.assembly import (
     SchemeConfig,
-    apply_dirichlet_rows,
     assemble_load,
     assemble_np,
     assemble_stiffness,
@@ -19,7 +18,6 @@ from pnpfem.assembly import (
     quadrature_points,
     stab_source_vector,
 )
-from pnpfem.linalg import SparseMatrix
 from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
@@ -76,21 +74,14 @@ def test_stiffness_row_sums_zero_and_symmetric():
 
 def test_stiffness_dirichlet_identity_rows():
     mesh = build_box_mesh(2)
-    a = to_dense(apply_dirichlet_rows(assemble_stiffness(mesh), mesh.boundary))
+    a = to_dense(assembly.potential_system(mesh)[0])
+    assert np.array_equal(a, oracles.dirichlet_rows(to_dense(assemble_stiffness(mesh)),
+                                                    mesh.boundary))
     for k in np.flatnonzero(mesh.boundary):
         row = a[k].copy()
         assert row[k] == 1.0
         row[k] = 0.0
         assert np.all(row == 0.0)
-
-
-def test_dirichlet_rows_need_stored_diagonal():
-    # row 1 stores only its off-diagonal entry, so it cannot become an identity row
-    a = SparseMatrix(2, [0, 2, 3], [0, 1, 0], [2.0, -1.0, -1.0])
-    with pytest.raises(ValueError, match="row 1"):
-        apply_dirichlet_rows(a, np.array([False, True]))
-    fixed = apply_dirichlet_rows(a, np.array([True, False]))
-    assert np.array_equal(to_dense(fixed), [[1.0, 0.0], [-1.0, 0.0]])
 
 
 def test_stiffness_matches_oracle():
@@ -134,11 +125,11 @@ def test_lumped_mass_matches_oracle():
 # ---------------------------------------------------------------- convection
 
 def test_convection_single_tet_linear_potential():
-    mesh = reference_tet_mesh()
+    mesh = unconstrained(reference_tet_mesh())
     phi = mesh.nodes[:, 0].copy()  # slope one in x
     tau, c = 0.1, 0.7
-    ours = assemble_np(mesh, phi, np_cfg("fem", c), tau, apply_dirichlet=False)[0]
-    expect = oracles.oracle_np_matrix(mesh, phi, c, tau, "fem", apply_bc=False)
+    ours = assemble_np(mesh, phi, np_cfg("fem", c), tau)[0]
+    expect = oracles.oracle_np_matrix(mesh, phi, c, tau, "fem")
     assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-13
 
 
@@ -300,9 +291,7 @@ def test_harmonic_average_symmetry_and_difference_identity():
 def test_np_fem_zero_potential_is_mass_plus_stiffness():
     mesh = build_box_mesh(2)
     tau = 0.01
-    sys_ = assemble_np(
-        mesh, np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), tau, apply_dirichlet=False
-    )[0]
+    sys_ = assemble_np(unconstrained(mesh), np.zeros(mesh.n_nodes), np_cfg("fem", 1.0), tau)[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
     assert np.abs(to_dense(sys_.matrix) - expect).max() == 0.0
 
@@ -310,7 +299,7 @@ def test_np_fem_zero_potential_is_mass_plus_stiffness():
 def test_np_fem_small_tau_limit():
     mesh = build_box_mesh(1)
     tau = 1e-300
-    sys_ = assemble_np(mesh, np.zeros(8), np_cfg("fem", 1.0), tau, apply_dirichlet=False)[0]
+    sys_ = assemble_np(unconstrained(mesh), np.zeros(8), np_cfg("fem", 1.0), tau)[0]
     m = lumped_volumes(mesh) / 4.0
     off = to_dense(sys_.matrix) - np.diag(np.diag(to_dense(sys_.matrix)))
     assert np.abs(off).max() < 1e-250
@@ -354,9 +343,9 @@ def test_supg_stab_matches_oracle_two_tets():
     rng = np.random.default_rng(4)
     phi = rng.uniform(-2.0, 2.0, 5)  # large slopes: exercises the upwind branch
     tau, tt, c = 0.05, 1.3, 0.179
-    ours = assemble_np(mesh, phi, np_cfg("supg", c, tt), tau, apply_dirichlet=False)[0]
+    ours = assemble_np(unconstrained(mesh), phi, np_cfg("supg", c, tt), tau)[0]
     a_stream, s_time, node_w = oracles.oracle_supg_parts(mesh, phi, c, tt)
-    fem = assemble_np(mesh, phi, np_cfg("fem", c), tau, apply_dirichlet=False)[0]
+    fem = assemble_np(unconstrained(mesh), phi, np_cfg("fem", c), tau)[0]
     expect = to_dense(fem.matrix) + tau * a_stream + s_time
     assert np.abs(to_dense(ours.matrix) - expect).max() < 1e-12
     # the supg right-hand side: S_time p^n + tau sum_K node_w int_K F
@@ -388,9 +377,7 @@ def test_supg_source_vector_scatter():
 def test_eafe_zero_potential_reduces_to_stiffness():
     mesh = build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3)
     tau = 0.02
-    sys_ = assemble_np(
-        mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), tau, apply_dirichlet=False
-    )[0]
+    sys_ = assemble_np(unconstrained(mesh), np.zeros(mesh.n_nodes), np_cfg("eafe", 0.179), tau)[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * to_dense(assemble_stiffness(mesh))
     assert np.abs(to_dense(sys_.matrix) - expect).max() < 1e-13
 
@@ -406,7 +393,7 @@ def test_transport_column_sums_zero(scheme):
         tau = 0.01
         for drift in ((0.7, -0.7), (0.7, -1.3)):
             cfg = SchemeConfig(scheme=scheme, drift=drift)
-            for sys_ in assemble_np(mesh, phi, cfg, tau, apply_dirichlet=False):
+            for sys_ in assemble_np(unconstrained(mesh), phi, cfg, tau):
                 transport_cols = (
                     sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
                 ) / tau
@@ -421,7 +408,7 @@ def test_eafe_entries_match_edge_quadrature():
     rng = np.random.default_rng(8)
     phi = rng.uniform(-1.0, 1.0, 5)
     tau, c = 0.03, 0.179
-    sys_ = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
+    sys_ = assemble_np(unconstrained(mesh), phi, np_cfg("eafe", c), tau)[0]
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
@@ -472,17 +459,25 @@ def test_grid_solver_declines_other_meshes(make):
     assert assembly.potential_system(make())[1] is None
 
 
+def cube_fixed_at_x0():
+    """``five_tet_cube`` with only its x = 0 face Dirichlet: fixed and free nodes mixed."""
+    cube = oracles.five_tet_cube()
+    return BoxMesh.from_cells(cube.nodes, cube.tets, cube.nodes[:, 0] == 0.0)
+
+
 @pytest.mark.parametrize("make, on_grid",
-                         [(lambda: build_box_mesh(3), True), (jittered_box, False)])
+                         [(lambda: build_box_mesh(3), True), (jittered_box, False),
+                          (cube_fixed_at_x0, False)])
 def test_potential_system_is_built_once_per_mesh(make, on_grid):
     mesh = make()
     stiffness = assemble_stiffness(mesh)
     matrix, grid = system = assembly.potential_system(mesh)
     assert assembly.potential_system(mesh) is system
     assert (grid is not None) == on_grid
-    expect = apply_dirichlet_rows(stiffness, mesh.boundary)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(matrix, name), getattr(expect, name))
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(matrix, name), getattr(stiffness, name))
+    expect = oracles.dirichlet_rows(to_dense(stiffness), mesh.boundary)
+    assert np.array_equal(to_dense(matrix), expect)
     # building it leaves the workspace stiffness untouched
     assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
 
@@ -632,7 +627,7 @@ def test_eafe_edge_assembly_matches_per_tet_kernel(c):
     mesh = jittered_box()
     phi = np.random.default_rng(3).uniform(-1.0, 1.0, mesh.n_nodes)
     tau = 0.02
-    ours = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
+    ours = assemble_np(unconstrained(mesh), phi, np_cfg("eafe", c), tau)[0]
     expect = np.diag(lumped_volumes(mesh) / 4.0) + tau * oracles.eafe_per_tet(mesh, phi, c)
     assert np.abs(to_dense(ours.matrix) - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -641,7 +636,7 @@ def test_eafe_edge_assembly_matches_edge_quadrature_on_jittered_box():
     mesh = jittered_box()
     phi = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
     tau, c = 0.02, 0.7
-    ours = assemble_np(mesh, phi, np_cfg("eafe", c), tau, apply_dirichlet=False)[0]
+    ours = assemble_np(unconstrained(mesh), phi, np_cfg("eafe", c), tau)[0]
     expect = np.diag(oracles.oracle_lumped_mass(mesh)) + tau * oracles.oracle_eafe_transport(
         mesh, phi, c
     )
@@ -702,18 +697,19 @@ def test_assemblers_match_oracle_random_potentials(scheme):
 @pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
 @pytest.mark.parametrize("drift", [(0.7, -1.3), (0.179, 0.0), (0.179, -0.179)])
 @pytest.mark.parametrize("make", [lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
-                                  jittered_box], ids=["box48", "jittered"])
+                                  jittered_box, cube_fixed_at_x0],
+                         ids=["box48", "jittered", "cube5_x0"])
 def test_both_species_match_oracle(scheme, drift, make):
     # c_2 = -c_1 in the benchmark, so only unequal magnitudes catch a mix-up
     mesh = make()
     phi = np.random.default_rng(12).uniform(-1.5, 1.5, mesh.n_nodes)
     tau = 0.01
     cfg = SchemeConfig(scheme=scheme, drift=drift)
-    for bc in (True, False):
-        systems = assemble_np(mesh, phi, cfg, tau, apply_dirichlet=bc)
+    for mesh in (mesh, unconstrained(mesh)):
+        systems = assemble_np(mesh, phi, cfg, tau)
         assert len(systems) == 2
         for c, system in zip(drift, systems):
-            expect = oracles.oracle_np_matrix(mesh, phi, c, tau, scheme, apply_bc=bc)
+            expect = oracles.oracle_np_matrix(mesh, phi, c, tau, scheme)
             scale = max(1.0, np.abs(expect).max())
             assert np.abs(to_dense(system.matrix) - expect).max() < 1e-10 * scale
             if scheme == "supg":   # the oracle's node weights are -c c_K d_i
@@ -730,8 +726,8 @@ def test_dispatcher_selects_scheme():
     tau = 0.1
     cfg_fem = SchemeConfig(scheme="fem")
     cfg_eafe = SchemeConfig(scheme="eafe")
-    a = to_dense(assemble_np(mesh, phi, cfg_fem, tau, apply_dirichlet=False)[0].matrix)
-    b = to_dense(assemble_np(mesh, phi, cfg_eafe, tau, apply_dirichlet=False)[0].matrix)
+    a = to_dense(assemble_np(unconstrained(mesh), phi, cfg_fem, tau)[0].matrix)
+    b = to_dense(assemble_np(unconstrained(mesh), phi, cfg_eafe, tau)[0].matrix)
     assert np.abs(a - b).max() > 1e-6  # genuinely different operators
 
 

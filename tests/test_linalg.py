@@ -5,7 +5,6 @@ from oracles import csr_from_dense, from_coo, interior_submatrix_coo, jittered_b
 from pnpfem import linalg
 from pnpfem.assembly import (
     SchemeConfig,
-    apply_dirichlet_rows,
     assemble_np,
     assemble_stiffness,
     potential_system,
@@ -162,7 +161,7 @@ def test_solve_spd_tridiagonal():
 
 def test_solve_spd_assembled_poisson():
     mesh = build_box_mesh(4, (-0.5,) * 3, (0.5,) * 3)
-    a = apply_dirichlet_rows(assemble_stiffness(mesh), mesh.boundary)
+    a = potential_system(mesh)[0]
     b = np.zeros(mesh.n_nodes)
     b[~mesh.boundary] = 1.0
     bc = exact_eval("u", mesh.nodes[mesh.boundary], 0.3)[0]
