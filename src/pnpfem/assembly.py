@@ -43,6 +43,7 @@ __all__ = [
     "assemble_stiffness",
     "lumped_volumes",
     "potential_system",
+    "concentration_preconditioner",
     "quadrature_points",
     "assemble_load",
     "element_integrals",
@@ -213,10 +214,10 @@ class _GridSolver:
         lam = [a * (2 - 2 * np.cos(np.pi * j / (n + 1))) for a, n, j in zip(coupling, shape, k)]
         self.eig = lam[0][:, None, None] + lam[1][:, None] + lam[2]
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """u on the free rows with (interior block) u = r[free]: S (S r / eig)."""
+    def solve(self, r: np.ndarray, eig=None) -> np.ndarray:
+        """u on the free rows with S diag(eig) S u = r[free], eig the interior block's if None."""
         (sx, sy, sz), u = self.sines, r[self.free].reshape(self.shape)
-        for scale in (self.eig, 1.0):                      # the sine matrices are symmetric
+        for scale in (self.eig if eig is None else eig, 1.0):   # the sine matrices are symmetric
             u = (sy @ (sx @ u.reshape(len(sx), -1)).reshape(self.shape)) @ sz / scale
         return u.ravel()
 
@@ -260,14 +261,37 @@ def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
 
     Returns the stiffness with identity rows on ``mesh.boundary`` and, on a
     tensor-grid box, the DST-I solver of its interior block (None elsewhere).
-    Built once per mesh (do not write to its arrays); every potential solve uses it.
+    Built once per mesh, with read-only arrays; every potential solve uses it.
     """
     ws = _workspace(mesh)
     if ws._potential is None:
         a = assemble_stiffness(mesh)
         _identity_rows(ws, mesh.boundary, [a.data])
         ws._potential = (a, _grid_solver(mesh, a))
+        for array in (a.data, a.indptr, a.indices):
+            array.flags.writeable = False
     return ws._potential
+
+
+def concentration_preconditioner(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig, tau: float):
+    """Right preconditioner r -> M^-1 r of both species' systems at ``phi``, or None (Jacobi).
+
+    On a grid box M is their zero-drift operator, m I + tau K (m the mean interior lumped
+    mass / 4, K the interior stiffness block; one DST-I solve) on the free rows and I on the
+    others, used while the edge Peclet number max|c| max|phi_a - phi_b| over mesh edges (at
+    most max|c| times the range of phi) is at most 1, where drift perturbs M little.
+    """
+    ws, grid, c = _workspace(mesh), potential_system(mesh)[1], max(map(abs, cfg.drift))
+    a, b = ws.ends
+    if grid is None or c * np.ptp(phi) > 1 and c * np.abs(phi.take(a) - phi.take(b)).max() > 1:
+        return None
+    eig = ws.lumped[grid.free].mean() / 4.0 + tau * grid.eig
+
+    def apply(r):
+        u = r.copy()
+        u[grid.free] = grid.solve(r, eig)
+        return u
+    return apply
 
 
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:

@@ -11,15 +11,12 @@ Instrumentation: per-sweep increments are recorded in the Euclidean norm on
 nodal vectors (used by the stopping test); the successive ratios of their
 max norms measure the contraction factor of the fixed-point map.
 
-The last ratios of each step are limited by the resolution of the
-concentration solves, not by the map.  Their residual target is
-``linear_tol * ||b||``, and ``||b||`` is dominated by the Dirichlet identity
-rows, which the warm start already satisfies: at h = 1/16, tau = 4h^2 (fem)
-``||b||`` is 2,200-3,500 times the norm of ``b`` over the free rows, so
-``linear_tol = 1e-12`` asks the free rows for a residual of only about 3e-9
-times their own norm.  Late increments reach that level and then vanish
-exactly (the iterate freezes), and the measured mean contraction factor
-moves with ``linear_tol``.
+Every linear solve takes its residual target ``linear_tol * ||b||`` on the
+free rows: the Dirichlet identity rows, which the start already satisfies,
+hold nearly all of ``||b||`` (2,200-3,500 times its free-row norm at h = 1/16,
+tau = 4h^2, fem), and a target on all rows froze the late iterates, so the
+measured contraction moved with ``linear_tol``.  The concentration solves use
+``assembly.concentration_preconditioner`` where it applies, else Jacobi.
 """
 
 from __future__ import annotations
@@ -72,12 +69,9 @@ class GummelReport:
     ``ratios`` are the successive max-norm ratios of the stacked
     concentration increments, defined from the second sweep on;
     ``alpha_bar`` is the mean of the nonzero ratios (NaN when none exists).
-    An exactly zero ratio means an iterate froze at the Krylov solver's
-    resolution, which carries no contraction information, so zeros are kept
-    in the record but left out of the mean.  That resolution is set relative
-    to a concentration right-hand side dominated by its Dirichlet rows (see
-    the module docstring), so the last nonzero ratios of a step are limited
-    by it as well, and ``alpha_bar`` depends on ``linear_tol``.
+    An exactly zero ratio means both concentration solves of a sweep met their
+    free-row target at the start (0 iterations), which carries no contraction
+    information, so zeros are kept in the record but left out of the mean.
     """
 
     iterations: int
@@ -153,7 +147,7 @@ def solve_potential(
     if grid is not None:
         x0[grid.free] = grid.solve(rhs - spmv(matrix, x0))
     with _failure_context("potential solve"):
-        return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0).x
+        return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0, free=~bmask).x
 
 
 def gummel_step(problem: StepProblem, iterate: State) -> State:
@@ -172,6 +166,7 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     phi_new = solve_potential(mesh, cfg, problem.g_phi, problem.bc[0], prev_p, iterate.phi)
 
     p_new = []
+    precond = assembly.concentration_preconditioner(mesh, phi_new, cfg, problem.tau)
     for i, system in enumerate(assembly.assemble_np(mesh, phi_new, cfg, problem.tau)):
         rhs_i = problem.f_np[i]
         if system.stab_grad_weights is not None:
@@ -179,7 +174,8 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
         rhs_i = _impose(rhs_i, bmask, problem.bc[i + 1])
         guess = _impose(prev_p[i], bmask, problem.bc[i + 1])
         with _failure_context(f"species {i + 1} solve"):
-            sol = solve_general(system.matrix, rhs_i, cfg.linear_tol, cfg.linear_maxit, x0=guess)
+            sol = solve_general(system.matrix, rhs_i, cfg.linear_tol, cfg.linear_maxit, x0=guess,
+                                free=~bmask, precond=precond)
         p_new.append(sol.x)
 
     return State(phi_new, p_new[0], p_new[1], problem.t_next)

@@ -4,11 +4,15 @@ Matrices are stored in compressed-row form; products run on a padded row
 (ELLPACK) copy whose width K is the longest row: K full-length vector adds.
 
 The kit deliberately carries its own compressed-row matrix and two classic
-Krylov solvers (Jacobi-preconditioned CG and BiCGSTAB) instead of pulling in
-a sparse-algebra dependency.  The potential system is SPD on the free unknowns;
-on Kuhn meshes eafe's systems are column M-matrices and fem's and supg's are
-not (positive off-diagonals on zero-weight edges).  The solvers verify the true
-residual before declaring success (one product for a start meeting the target).
+Krylov solvers instead of pulling in a sparse-algebra dependency: CG with a
+Jacobi preconditioner, and BiCGSTAB with the caller's right preconditioner or
+Jacobi.  On grid boxes the Gummel sweep passes it the DST-I inverse of the
+zero-drift concentration operator while the edge Peclet number is at most 1
+(``assembly.concentration_preconditioner``).  The potential system is SPD on
+the free unknowns; on Kuhn meshes eafe's systems are column M-matrices and
+fem's and supg's are not (positive off-diagonals on zero-weight edges).  The
+solvers verify the true residual against tol times the norm of b on the free
+rows before declaring success (one product for a start meeting the target).
 A breakdown, a stagnating restart sequence or a missed target raises
 ``NonConvergenceError``; no second solver takes over.
 """
@@ -164,24 +168,26 @@ def _jacobi(a: SparseMatrix) -> np.ndarray:
     return np.where(np.abs(d) > 0.0, d, 1.0)
 
 
-def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResult:
-    """Preconditioned conjugate gradients for SPD systems.
-
-    The residual contract ||b - A x|| <= tol * ||b|| is verified on the true
-    (recomputed) residual before returning.  For matrices whose constrained
-    rows were replaced by identity rows, pass an ``x0`` that already
-    satisfies those rows; the iteration then acts on the free unknowns only,
-    where the operator is SPD.
-    """
+def _start(a, b, tol, x0, free):
+    """b, the target tol * ||b_free|| (see ``solve_spd``) and the start: x0, or 0 for b = 0."""
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return SolveResult(np.zeros(a.n), 0, 0.0, "cg")
-    target = tol * bnorm
+    target = tol * float(np.linalg.norm(b if free is None else b[free]) or np.linalg.norm(b))
+    return b, target, np.zeros(a.n) if x0 is None or target == 0.0 else np.array(x0, dtype=float)
 
-    x = np.zeros(a.n) if x0 is None else np.array(x0, dtype=float)
+
+def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=None) -> SolveResult:
+    """Jacobi-preconditioned conjugate gradients for SPD systems.
+
+    The residual contract ||b - A x|| <= tol * ||b_free|| is verified on the
+    true (recomputed) residual before returning, b_free being b on the rows
+    ``free`` masks (all rows if None or b is 0 there).  For matrices whose
+    constrained rows were replaced by identity rows, pass an ``x0`` that
+    satisfies those rows and the other rows as ``free``: the iteration then
+    acts on the free unknowns only, where the operator is SPD.
+    """
+    b, target, x = _start(a, b, tol, x0, free)
     r = b - spmv(a, x)
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
@@ -228,28 +234,23 @@ def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResu
     )
 
 
-def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> SolveResult:
-    """Jacobi-preconditioned BiCGSTAB.
+def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=None,
+                  precond=None) -> SolveResult:
+    """Right-preconditioned BiCGSTAB: ``precond(r)`` applies M^-1, Jacobi if None.
 
     Same residual contract as ``solve_spd``.  A breakdown (a vanishing inner
     product), stagnation (3 restarts from the true residual in a row without a
     new lowest one) or a missed target after ``maxit`` iterations raises
     ``NonConvergenceError`` with the true residual and the iteration count.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.n,):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return SolveResult(np.zeros(a.n), 0, 0.0, "bicgstab")
-    target = tol * bnorm
-
-    x = np.zeros(a.n) if x0 is None else np.array(x0, dtype=float)
+    b, target, x = _start(a, b, tol, x0, free)
     r = b - spmv(a, x)
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
         return SolveResult(x, 0, rnorm, "bicgstab")
-    d = _jacobi(a)
+    if precond is None:
+        d = _jacobi(a)
+        precond = lambda r: r / d
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(a.n)
@@ -275,7 +276,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
-        ph = p / d
+        ph = precond(p)
         v = spmv(a, ph)
         denom = float(r_hat @ v)
         if denom == 0.0:
@@ -287,7 +288,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None) -> Solve
             r = s
             it += 1
             continue
-        sh = s / d
+        sh = precond(s)
         t = spmv(a, sh)
         tt = float(t @ t)
         if tt == 0.0:

@@ -18,6 +18,7 @@ from pnpfem.assembly import (
     quadrature_points,
     stab_source_vector,
 )
+from pnpfem.linalg import solve_general, spmv
 from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
@@ -480,6 +481,69 @@ def test_potential_system_is_built_once_per_mesh(make, on_grid):
     assert np.array_equal(to_dense(matrix), expect)
     # building it leaves the workspace stiffness untouched
     assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
+
+
+def test_potential_operator_is_read_only():
+    matrix = assembly.potential_system(build_box_mesh(3))[0]
+    for name in ("data", "indptr", "indices"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(matrix, name)[0] = 0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("scheme", ["fem", "eafe"])
+def test_concentration_preconditioner_is_exact_at_zero_drift(n, scheme):
+    mesh = build_box_mesh(n, (-0.5,) * 3, (0.5,) * 3)
+    phi, cfg, tau, free = np.zeros(mesh.n_nodes), np_cfg(scheme, 0.179), 1.0 / n**2, ~mesh.boundary
+    precond = assembly.concentration_preconditioner(mesh, phi, cfg, tau)
+    rng = np.random.default_rng(n)
+    r = np.where(free, rng.standard_normal(mesh.n_nodes), 0.0)
+    b = rng.uniform(0.5, 1.5, mesh.n_nodes)
+    for system in assemble_np(mesh, phi, cfg, tau):
+        # M^-1 A is the identity on vectors that vanish on the Dirichlet rows
+        assert np.allclose(precond(spmv(system.matrix, r)), r, rtol=0.0, atol=1e-12)
+        res = solve_general(system.matrix, b, 1e-10, x0=np.where(free, 0.0, b), free=free,
+                            precond=precond)
+        assert res.iterations <= 1
+        assert res.residual <= 1e-10 * np.linalg.norm(b[free])
+    # the Dirichlet rows pass through
+    assert np.array_equal(precond(b)[mesh.boundary], b[mesh.boundary])
+
+
+@pytest.mark.parametrize("make", [jittered_box, oracles.five_tet_cube, cube_fixed_at_x0],
+                         ids=["jittered", "cube5", "cube5_x0"])
+def test_concentration_preconditioner_declines_meshes_off_a_grid(make):
+    mesh = make()
+    cfg = np_cfg("eafe", 0.179)
+    assert assembly.concentration_preconditioner(mesh, np.zeros(mesh.n_nodes), cfg, 0.01) is None
+
+
+def test_concentration_preconditioner_gate_is_the_edge_peclet_number():
+    mesh = build_box_mesh(4)
+    phi = 0.5 * mesh.nodes[:, 0]        # largest edge difference 1/8, along x and the diagonals
+    for c, on in [(8.0, True), (8.0 * (1 + 1e-12), False)]:
+        cfg = SchemeConfig(scheme="fem", drift=(0.1, -c))    # the larger |c| counts
+        assert (assembly.concentration_preconditioner(mesh, phi, cfg, 0.01) is not None) == on
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_preconditioned_and_jacobi_solves_meet_the_dense_solution(scheme):
+    mesh = build_box_mesh(5, (-0.5,) * 3, (0.5,) * 3)
+    rng = np.random.default_rng(5)
+    phi, cfg, tau = rng.uniform(-1.0, 1.0, mesh.n_nodes), np_cfg(scheme, 0.179), 0.04
+    precond = assembly.concentration_preconditioner(mesh, phi, cfg, tau)
+    assert precond is not None
+    b, free = rng.uniform(0.5, 1.5, mesh.n_nodes), ~mesh.boundary
+    x0, target = np.where(free, 0.0, b), 1e-12 * np.linalg.norm(b[free])
+    for system in assemble_np(mesh, phi, cfg, tau):
+        a = to_dense(system.matrix)
+        dense = np.linalg.solve(a, b)
+        jacobi = solve_general(system.matrix, b, 1e-12, x0=x0, free=free)
+        dst = solve_general(system.matrix, b, 1e-12, x0=x0, free=free, precond=precond)
+        assert dst.iterations < jacobi.iterations
+        for res in (jacobi, dst):
+            assert np.linalg.norm(b - a @ res.x) <= target
+            assert np.abs(res.x - dense).max() <= 1e-9 * np.abs(dense).max()
 
 
 def held_arrays(ws):

@@ -272,6 +272,38 @@ def test_potential_solve_without_interior_returns_the_boundary_data():
     assert np.array_equal(phi, bc)
 
 
+def record_species_solves(monkeypatch):
+    calls, solve = [], gummel_module.solve_general
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gummel_module, "solve_general", recording)
+    return calls
+
+
+@pytest.mark.parametrize("make, drift, dst", [
+    (lambda: build_box_mesh(4, *BOX), 0.179, True),
+    (lambda: jittered_box(4), 0.179, False),
+    (lambda: build_box_mesh(4, *BOX), 100.0, False),     # edge Peclet number above 1
+], ids=["grid", "jittered", "peclet"])
+def test_species_solves_take_the_free_rows_and_the_gated_preconditioner(monkeypatch, make,
+                                                                       drift, dst):
+    mesh = make()
+    scfg = scheme_config("eafe", drift=(drift, -drift))
+    tc = transient_problem(T=0.01, tau=0.01)
+    n = mesh.n_nodes
+    prev = State(np.zeros(n), np.ones(n), np.zeros(n), 0.0)    # net charge 1: phi of order 0.05
+    problem = build_problem(mesh, scfg, tc, prev, 0.01, 0.01)
+    calls = record_species_solves(monkeypatch)
+    gummel_step(problem, prev)
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert np.array_equal(kwargs["free"], ~mesh.boundary)
+        assert (kwargs["precond"] is not None) == dst
+
+
 def test_determinism_bitwise():
     mesh = build_box_mesh(3, *BOX)
     tc = transient_problem(T=0.02, tau=0.01)

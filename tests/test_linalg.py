@@ -368,3 +368,51 @@ def test_interior_submatrix_matches_coo_build_on_random_masks():
     sub = interior_submatrix(a, keep)
     assert_same_csr(sub, interior_submatrix_coo(a, keep))
     assert sub.nnz == 0 and sub.indptr.tolist() == [0, 0, 0]
+
+
+def identity_row_system():
+    """Tridiagonal SPD matrix with identity rows 0 and 3; rows 1 and 2 are free."""
+    a = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 2.5, -1.0, 0.0],
+                  [0.0, -1.0, 2.5, -1.0], [0.0, 0.0, 0.0, 1.0]])
+    return a, np.array([False, True, True, False])
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_general])
+def test_target_is_taken_on_the_free_rows(solve):
+    dense, free = identity_row_system()
+    b = np.array([1e4, 1e-3, 2e-3, -1e4])      # ||b|| is 6e6 times ||b_free||
+    x0 = np.linalg.solve(dense, b) + [0.0, 1e-5, -1e-5, 0.0]
+    # on all rows the start already meets the target, with free-row residual 5e-5
+    assert solve(csr_from_dense(dense), b, tol=1e-8, x0=x0).iterations == 0
+    res = solve(csr_from_dense(dense), b, tol=1e-8, x0=x0, free=free)
+    assert res.iterations > 0
+    assert res.residual <= 1e-8 * np.linalg.norm(b[free])
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_general])
+def test_zero_free_rows_take_the_target_on_all_rows(solve):
+    dense, free = identity_row_system()
+    b = np.array([3.0, 0.0, 0.0, -2.0])
+    res = solve(csr_from_dense(dense), b, tol=1e-10, x0=np.where(free, 0.0, b), free=free)
+    assert res.iterations > 0
+    assert res.residual <= 1e-10 * np.linalg.norm(b)
+    assert np.allclose(res.x, np.linalg.solve(dense, b), rtol=1e-9, atol=0.0)
+    # b = 0 everywhere: x = 0 whatever the start
+    zero = solve(csr_from_dense(dense), np.zeros(4), x0=np.ones(4), free=free)
+    assert (zero.iterations, zero.residual) == (0, 0.0)
+    assert np.array_equal(zero.x, np.zeros(4))
+
+
+def test_solve_general_applies_the_callers_preconditioner():
+    rng = np.random.default_rng(4)
+    dense = rng.uniform(-1.0, 1.0, (12, 12)) + 6.0 * np.eye(12)
+    b = rng.uniform(-1.0, 1.0, 12)
+    applied = []
+
+    def exact(r):
+        applied.append(r.copy())
+        return np.linalg.solve(dense, r)
+
+    res = solve_general(csr_from_dense(dense), b, tol=1e-12, precond=exact)
+    assert res.iterations == 1 and len(applied) == 1     # s vanishes after one half step
+    assert res.residual <= 1e-12 * np.linalg.norm(b)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import jittered_box
 from pnpfem import assembly, gummel, timestepper
 from pnpfem.linalg import NonConvergenceError, spmv
 from pnpfem.manufactured import scheme_config, source_terms, transient_problem
@@ -259,20 +260,30 @@ def test_refresh_failure_aborts_with_cause(monkeypatch):
 
 
 def test_bicgstab_failure_aborts_the_run():
-    # charges x100: in sweep 22 of the first step BiCGSTAB misses its target
-    # on the eafe species 1 system; the failure is reported, not solved
-    # another way
+    # charges x100: in sweep 15 of the first step BiCGSTAB stagnates on the
+    # eafe species 2 system; the failure is reported, not solved another way
     mesh = build_box_mesh(8, *BOX)
     scfg = scheme_config("eafe", charges=(100.0, -100.0))
     tc = transient_problem(T=0.25, tau=4.0 / 64, max_iter=200)
     with pytest.raises(TransientAbortError) as err:
         run_transient(mesh, scfg, tc)
     assert err.value.step == 0
-    assert ": species 1 solve: bicgstab: " in str(err.value)
+    assert ": species 2 solve: bicgstab: stagnation" in str(err.value)
     assert err.value.partial.reports == []
     assert isinstance(err.value.__cause__, NonConvergenceError)
-    # stopped by stagnation (iteration 44), not after linear_maxit iterations
+    # stopped by stagnation (iteration 31), not after linear_maxit iterations
     assert err.value.__cause__.iterations <= 50
+
+
+@pytest.mark.parametrize("make", [lambda: build_box_mesh(3, *BOX), jittered_box],
+                         ids=["grid", "jittered"])
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_every_solve_runs_on_the_read_only_potential_operator(make, scheme):
+    mesh = make()
+    matrix = assembly.potential_system(mesh)[0]
+    assert not any(a.flags.writeable for a in (matrix.data, matrix.indptr, matrix.indices))
+    result = run_transient(mesh, scheme_config(scheme), transient_problem(T=0.02, tau=0.01))
+    assert [r.converged for r in result.reports] == [True, True]
 
 
 def test_linear_failure_keeps_the_completed_steps(second_step_species_failure):
