@@ -316,7 +316,7 @@ def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
 def quadrature_points(mesh: BoxMesh, order: int = 2) -> np.ndarray:
     """Points of the degree-``order`` rule, (M*Q, 3), element by element."""
     pts, _ = rule_for_order(order)
-    return np.einsum("qk,mkd->mqd", pts, mesh.nodes[mesh.tets]).reshape(-1, 3)
+    return (pts @ mesh.nodes[mesh.tets]).reshape(-1, 3)
 
 
 def _per_element(mesh: BoxMesh, values, order: int):
@@ -335,7 +335,8 @@ def assemble_load(mesh: BoxMesh, values, order: int = 2) -> np.ndarray:
     stack fields and each is assembled exactly as it would be on its own.
     """
     bary, wts, gvals = _per_element(mesh, values, order)
-    local = mesh.geometry.volumes[:, None] * (gvals @ (wts[:, None] * bary))  # (..., M, 4)
+    local = gvals @ (wts[:, None] * bary)  # (..., M, 4)
+    local *= mesh.geometry.volumes[:, None]
     loads = [
         np.bincount(mesh.tets.ravel(), weights=row, minlength=mesh.n_nodes)
         for row in local.reshape(-1, mesh.n_tets * 4)

@@ -168,6 +168,11 @@ def _jacobi(a: SparseMatrix) -> np.ndarray:
     return np.where(np.abs(d) > 0.0, d, 1.0)
 
 
+def _lost_to_rounding(x, y, xy: float) -> bool:
+    q = abs(xy) / (x.size * np.finfo(float).eps)  # lost: q <= |x| . |y| (<= ||x|| ||y||)
+    return q * q <= float(x @ x) * float(y @ y) and q <= float(np.abs(x) @ np.abs(y))
+
+
 def _start(a, b, tol, x0, free):
     """b, the target tol * ||b_free|| (see ``solve_spd``) and the start: x0, or 0 for b = 0."""
     b = np.asarray(b, dtype=float)
@@ -238,10 +243,10 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
                   precond=None) -> SolveResult:
     """Right-preconditioned BiCGSTAB: ``precond(r)`` applies M^-1, Jacobi if None.
 
-    Same residual contract as ``solve_spd``.  A breakdown (a vanishing inner
-    product), stagnation (3 restarts from the true residual in a row without a
-    new lowest one) or a missed target after ``maxit`` iterations raises
-    ``NonConvergenceError`` with the true residual and the iteration count.
+    Same residual contract as ``solve_spd``.  A breakdown (an inner product x . y
+    within its rounding bound n eps |x| . |y|), stagnation (3 restarts in a row
+    from the true residual without a new lowest one) or a missed target after
+    ``maxit`` iterations raises ``NonConvergenceError`` (true residual, iterations).
     """
     b, target, x = _start(a, b, tol, x0, free)
     r = b - spmv(a, x)
@@ -271,7 +276,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
             v[:] = 0.0
             p[:] = 0.0
         rho_new = float(r_hat @ r)
-        if rho_new == 0.0 or omega == 0.0:
+        if _lost_to_rounding(r_hat, r, rho_new):
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
@@ -279,7 +284,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
         ph = precond(p)
         v = spmv(a, ph)
         denom = float(r_hat @ v)
-        if denom == 0.0:
+        if _lost_to_rounding(r_hat, v, denom):
             break
         alpha = rho / denom
         s = r - alpha * v
@@ -290,10 +295,10 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
             continue
         sh = precond(s)
         t = spmv(a, sh)
-        tt = float(t @ t)
-        if tt == 0.0:
+        ts = float(t @ s)
+        if _lost_to_rounding(t, s, ts):
             break
-        omega = float(t @ s) / tt
+        omega = ts / float(t @ t)
         x = x + alpha * ph + omega * sh
         r = s - omega * t
         it += 1
@@ -301,7 +306,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
     rnorm = float(np.linalg.norm(b - spmv(a, x)))
     if rnorm <= target:
         return SolveResult(x, it, rnorm, "bicgstab")
-    # the loop only ends early on stagnation or a vanishing inner product
+    # the loop only ends early on stagnation or a lost inner product
     reason = ("stagnation: 3 restarts without a new lowest true residual" if stale == 3
               else "breakdown" if it < maxit else f"no convergence in {maxit} iterations")
     raise NonConvergenceError(

@@ -14,10 +14,10 @@ from the exact fields
     p = 3 pi^2 sin(t)  * (1 + cos(pi x) cos(pi y) cos(pi z) / 2)
     n = 3 pi^2 sin(2t) * (1 - cos(pi x) cos(pi y) cos(pi z) / 2)
 
-and p = n = 0 at t = 0.  The source expressions below are hand-derived; a
-finite-difference residual test guards the derivation.  Note the asymmetry
-of the model: the potential equation couples with unit charges while the
-fluxes drift with +-c.
+and p = n = 0 at t = 0.  The sources are hand-derived (3, 4) time factors on
+1, C, C^2 and |grad C|^2 for C = cos(pi x) cos(pi y) cos(pi z); a finite-difference
+residual test guards the derivation.  Note the asymmetry of the model: the
+potential equation couples with unit charges while the fluxes drift with +-c.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _bind_boundary(pts):
 
 
 def source_terms(x, t: float):
-    """Right-hand sides (F1, F2, F3) evaluated pointwise.
+    """Right-hand sides (F1, F2, F3) evaluated pointwise: (3, Q) for points (Q, 3).
 
     Uses Lap(cos cos cos) = -3 pi^2 cos cos cos and the product rule
     div(v grad u) = grad v . grad u + v Lap u on the closed forms above.
@@ -116,35 +116,38 @@ def source_terms(x, t: float):
 
 
 def _bind_sources(pts):
-    """(F1, F2, F3) at (Q, 3) points as a function of t; c and |grad c|^2 are computed once."""
-    c, gc = _cosprod(pts), _grad_cosprod(pts)
-    gc2 = np.einsum("qd,qd->q", gc, gc)
-    return lambda t: _sources_at(c, gc2, t)
+    """(F1, F2, F3) at (Q, 3) points as a function of t giving one (3, Q) array.
+
+    Stacks 1, c, c^2, |grad c|^2 = pi^2 (c_y^2 c_z^2 + c_x^2 c_z^2 + c_x^2 c_y^2 - 3 c^2)
+    once from c_d = cos(pi x_d); a level is the (3, 4) ``_coefficients`` times them.
+    """
+    cos = np.cos(np.pi * pts.T)
+    c = cos.prod(axis=0)
+    x, y, z = np.square(cos, out=cos)
+    fields = np.stack((np.ones_like(c), c, c * c, np.pi**2 * (y * z + x * z + x * y - 3 * c * c)))
+    return lambda t: _coefficients(t) @ fields
 
 
-def _sources_at(c, gc2, t: float):
-    amp = 1.0 - np.exp(-t)
-    st, s2t = np.sin(t), np.sin(2.0 * t)
-    ct, c2t = np.cos(t), np.cos(2.0 * t)
-
-    p_val = _3PI2 * st * (1.0 + 0.5 * c)
-    n_val = _3PI2 * s2t * (1.0 - 0.5 * c)
-
-    # -Lap(u) = 3 pi^2 amp * c
-    f1 = _3PI2 * amp * c - (p_val - n_val)
+def _coefficients(t: float):
+    """(3, 4) time factors of (F1, F2, F3) on (1, c, c^2, |grad c|^2), term by term."""
+    one, c, grad_c2 = np.eye(4)[[0, 1, 3]]  # each term is a 4-vector on those fields
+    amp, st, s2t, ct, c2t = 1.0 - np.exp(-t), np.sin(t), np.sin(2 * t), np.cos(t), np.cos(2 * t)
+    p, n = _3PI2 * st * (one + 0.5 * c), _3PI2 * s2t * (one - 0.5 * c)
+    lap_u = -_3PI2 * amp * c
+    f1 = -lap_u - (p - n)
 
     # F2 = dp/dt - Lap(p) - c_drift * (grad p . grad u + p Lap u)
     lap_p = -0.5 * _3PI2 * st * _3PI2 * c
-    gradp_gradu = 0.5 * _3PI2 * st * amp * gc2
-    p_lap_u = p_val * (-_3PI2 * amp * c)
-    f2 = _3PI2 * ct * (1.0 + 0.5 * c) - lap_p - C_DRIFT * (gradp_gradu + p_lap_u)
+    gradp_gradu = 0.5 * _3PI2 * st * amp * grad_c2
+    p_lap_u = np.roll(p, 1) * lap_u[1]  # Lap(u) is lap_u[1] * c; c * p is p one slot up
+    f2 = _3PI2 * ct * (one + 0.5 * c) - lap_p - C_DRIFT * (gradp_gradu + p_lap_u)
 
     # F3 = dn/dt - Lap(n) + c_drift * (grad n . grad u + n Lap u)
     lap_n = 0.5 * _3PI2 * s2t * _3PI2 * c
-    gradn_gradu = -0.5 * _3PI2 * s2t * amp * gc2
-    n_lap_u = n_val * (-_3PI2 * amp * c)
-    f3 = 2.0 * _3PI2 * c2t * (1.0 - 0.5 * c) - lap_n + C_DRIFT * (gradn_gradu + n_lap_u)
-    return f1, f2, f3
+    gradn_gradu = -0.5 * _3PI2 * s2t * amp * grad_c2
+    n_lap_u = np.roll(n, 1) * lap_u[1]
+    f3 = 2.0 * _3PI2 * c2t * (one - 0.5 * c) - lap_n + C_DRIFT * (gradn_gradu + n_lap_u)
+    return np.stack((f1, f2, f3))
 
 
 def error_norms(mesh, dofs, field: str, t: float, order: int = 5):
@@ -190,8 +193,8 @@ def transient_problem(T: float, tau: float, **overrides):
 
     Boundary data comes from the exact traces, sources from the derived
     right-hand sides and both carriers start at zero.  Binding ``sources``
-    computes c and |grad c|^2 once per point set, binding ``boundary`` c;
-    each bound function then only evaluates the time factors.
+    computes c, c^2 and |grad c|^2 once per point set, binding ``boundary`` c;
+    each level then costs only its time factors (one (3, Q) array of sources).
     """
     from .timestepper import TransientConfig
 

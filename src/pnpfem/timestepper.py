@@ -54,11 +54,11 @@ class TransientConfig:
 
     ``initial(points)`` returns the starting concentrations (p1, p2);
     ``boundary(points)`` and ``sources(points)`` return functions of t giving
-    the Dirichlet data (u, p1, p2) and the right-hand sides (f, F1, F2), each
-    field of shape (Q,) for points (Q, 3): the nodes, the boundary nodes and
-    ``assembly.quadrature_points``.  ``run_transient`` binds both once per run
-    (time-free work belongs there), calls the bound functions at t = 0 and once
-    per step, and starts the potential from a solve against p1 and p2.
+    the Dirichlet data (u, p1, p2) and the right-hand sides (f, F1, F2), three
+    (Q,) fields or one (3, Q) array (used without a copy) for points (Q, 3):
+    the nodes, the boundary nodes and ``assembly.quadrature_points``.
+    ``run_transient`` binds both once per run (time-free work belongs there),
+    calls them at t = 0 and once per step and solves for the initial potential.
     """
 
     T: float
@@ -186,6 +186,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
             if cfg.scheme == "supg":   # int_K (p^n_h + tau F); int_K psi_j = vol / 4
                 p_int = 0.25 * mesh.geometry.volumes * state.concentrations()[:, mesh.tets].sum(-1)
                 stab_int = p_int + tau_n * assembly.element_integrals(mesh, sources[1:])
+            del sources  # free the (3, M*Q) samples before the sweeps
             problem = StepProblem(mesh, cfg, tau_n, t_next, g_phi=loads[0], f_np=f_np,
                                   bc=_boundary_values(mesh, boundary_at, t_next),
                                   p_tau_f_elem_int=stab_int)

@@ -22,7 +22,9 @@ transpose map) as references for the set-up built from mesh edges.
 operator, and ``unconstrained`` the mesh whose operators have none.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
 code paths must decline, and ``five_tet_cube`` a hand-built ``from_cells``
-mesh.
+mesh.  ``oracle_sources`` keeps the manufactured sources as the package
+formerly evaluated them, one named physical term per full-length array, and
+``einsum_quadrature_points`` the former einsum form of the quadrature points.
 """
 
 from functools import lru_cache
@@ -31,7 +33,9 @@ import numpy as np
 
 from pnpfem.assembly import bernoulli
 from pnpfem.linalg import SparseMatrix
+from pnpfem.manufactured import C_DRIFT
 from pnpfem.mesh import BoxMesh, build_box_mesh
+from pnpfem.quadrature import rule_for_order
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -373,3 +377,40 @@ def five_tet_cube():
     flip = np.einsum("md,md->m", u, np.cross(v, w)) < 0.0
     tets[flip, 1], tets[flip, 2] = tets[flip, 2], tets[flip, 1]
     return BoxMesh.from_cells(nodes, tets)
+
+
+def oracle_sources(pts, t):
+    """(F1, F2, F3) at (Q, 3) points, term by term from c = cos cos cos and |grad c|^2."""
+    three_pi2 = 3.0 * np.pi**2
+    amp = 1.0 - np.exp(-t)
+    st, s2t = np.sin(t), np.sin(2.0 * t)
+    ct, c2t = np.cos(t), np.cos(2.0 * t)
+    (cx, cy, cz), (sx, sy, sz) = np.cos(np.pi * pts.T), np.sin(np.pi * pts.T)
+    c = cx * cy * cz
+    gc = -np.pi * np.stack((sx * cy * cz, cx * sy * cz, cx * cy * sz), axis=1)
+    gc2 = np.einsum("qd,qd->q", gc, gc)
+
+    p_val = three_pi2 * st * (1.0 + 0.5 * c)
+    n_val = three_pi2 * s2t * (1.0 - 0.5 * c)
+
+    # -Lap(u) = 3 pi^2 amp * c
+    f1 = three_pi2 * amp * c - (p_val - n_val)
+
+    # F2 = dp/dt - Lap(p) - c_drift * (grad p . grad u + p Lap u)
+    lap_p = -0.5 * three_pi2 * st * three_pi2 * c
+    gradp_gradu = 0.5 * three_pi2 * st * amp * gc2
+    p_lap_u = p_val * (-three_pi2 * amp * c)
+    f2 = three_pi2 * ct * (1.0 + 0.5 * c) - lap_p - C_DRIFT * (gradp_gradu + p_lap_u)
+
+    # F3 = dn/dt - Lap(n) + c_drift * (grad n . grad u + n Lap u)
+    lap_n = 0.5 * three_pi2 * s2t * three_pi2 * c
+    gradn_gradu = -0.5 * three_pi2 * s2t * amp * gc2
+    n_lap_u = n_val * (-three_pi2 * amp * c)
+    f3 = 2.0 * three_pi2 * c2t * (1.0 - 0.5 * c) - lap_n + C_DRIFT * (gradn_gradu + n_lap_u)
+    return np.stack((f1, f2, f3))
+
+
+def einsum_quadrature_points(mesh, order=2):
+    """Points of the degree-``order`` rule, (M*Q, 3), element by element."""
+    pts, _ = rule_for_order(order)
+    return np.einsum("qk,mkd->mqd", pts, mesh.nodes[mesh.tets]).reshape(-1, 3)

@@ -198,6 +198,17 @@ def test_stacked_fields_integrate_as_single_fields(order):
         assert np.array_equal(integrals[i], element_integrals(mesh, fields[i], order))
 
 
+@pytest.mark.parametrize("make", [lambda: build_box_mesh(3), jittered_box],
+                         ids=["kuhn", "jittered"])
+@pytest.mark.parametrize("order", [2, 8, 17])
+def test_quadrature_points_match_einsum_oracle(make, order):
+    mesh = make()
+    pts = quadrature_points(mesh, order)
+    ref = oracles.einsum_quadrature_points(mesh, order)
+    assert pts.shape == ref.shape
+    assert np.abs(pts - ref).max() <= 1e-15
+
+
 def test_sampled_values_must_match_the_quadrature_points():
     mesh = build_box_mesh(2)
     size = len(quadrature_points(mesh))

@@ -96,6 +96,17 @@ def test_bound_data_equals_pointwise_reference():
             assert np.array_equal(staged, exact_eval(field, bpts, t)[0])
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0 / 256, 0.37, 3.0])
+def test_bound_sources_match_term_by_term_oracle(t):
+    # the (3, 4) time factors on (1, c, c^2, |grad c|^2) against one array per
+    # physical term; the binding's |grad c|^2 uses sin^2 = 1 - cos^2, so bits differ
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, (2000, 3))
+    ref = oracles.oracle_sources(pts, t)
+    got = manufactured._bind_sources(pts)(t)
+    assert got.shape == (3, len(pts))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_initial_concentrations_zero():
     tc = transient_problem(T=0.1, tau=0.01)
     pts = np.random.default_rng(2).uniform(-0.5, 0.5, (5, 3))

@@ -275,6 +275,24 @@ def test_bicgstab_failure_aborts_the_run():
     assert err.value.__cause__.iterations <= 50
 
 
+def test_bicgstab_near_breakdown_stops_the_solve():
+    # charges x100, fem: in sweep 7 of the first step r_hat . r and r_hat . v
+    # fall to their rounding level; the solve stops there with a finite
+    # residual instead of running on until the iterate blows up
+    mesh = build_box_mesh(8, *BOX)
+    scfg = scheme_config("fem", charges=(100.0, -100.0))
+    tc = transient_problem(T=0.25, tau=4.0 / 64, max_iter=200)
+    with pytest.raises(TransientAbortError) as err:
+        run_transient(mesh, scfg, tc)
+    assert err.value.step == 0
+    assert ": species 1 solve: bicgstab: breakdown" in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, NonConvergenceError)
+    # stopped at iteration 31, not after 2,000+ iterations at a residual of 1e19 or more
+    assert cause.iterations <= 100
+    assert np.isfinite(cause.residual) and cause.residual < 1e6
+
+
 @pytest.mark.parametrize("make", [lambda: build_box_mesh(3, *BOX), jittered_box],
                          ids=["grid", "jittered"])
 @pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
