@@ -17,11 +17,11 @@ and the contract
 where ``transport`` is the plain Galerkin convection-diffusion operator, its
 streamline-stabilized variant, or the exponentially fitted (edge-averaged)
 operator.  One call assembles both species at one potential: they differ only
-through their drift c, so grad(phi_h), d_i = grad(phi_h).grad(psi_i), the
-supg parameter and the Bernoulli values are computed once (the last two once
-per distinct |c|).  fem and supg sum element-edge values read from the
-axis-major gradients of the mesh geometry; eafe sums mesh-edge values.  supg
-also changes the right-hand side, by the one per-element load of
+through their drift c, so d_i = grad(phi_h).grad(psi_i), the supg parameter
+and the Bernoulli values are computed once (the last two once per distinct
+|c|).  fem and supg sum element-edge values, vol_K d_i = sum_j omega_ij
+(phi_i - phi_j) from the mesh's edge weights; eafe sums mesh-edge values.
+supg also changes the right-hand side, by the one per-element load of
 ``stab_source_vector``.  With a zero potential all three collapse to
 mass + tau * A_L, which is the normative check pinning all sign and index
 conventions.
@@ -55,6 +55,9 @@ __all__ = [
 SCHEMES = ("fem", "supg", "eafe")
 #: (row, column) corners of the 12 directed local edges: LOCAL_EDGES, then each reversed.
 _EDGE_ENDS = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
+#: (6, 4) signed incidence D of LOCAL_EDGES, +1 at nu and -1 at mu: S_K = D^T diag(omega_K) D.
+_INCIDENCE = np.eye(4)[_EDGE_ENDS[0, :6]] - np.eye(4)[_EDGE_ENDS[1, :6]]
+_AT_ROWS = _INCIDENCE.T[_EDGE_ENDS[0]]          # (12, 6): the row of D^T at each row corner
 
 
 @dataclass
@@ -408,8 +411,10 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
     is done once.  d_i = grad(phi_h).grad(psi_i) is constant on each tet K and
     sums to 0 there, so fem and supg sum their transport over element edges
     (nu, mu), and ``from_edges`` sets each diagonal entry to zero its column.
-    Entry (nu, mu) gets c r_nu, r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem):
-    tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
+    With dphi = D phi_K and w = omega dphi, vol_K d = D^T w and vol_K |grad
+    phi_h|^2 = sum_e w_e dphi_e, clamped at 0.  Entry (nu, mu) gets c r_nu,
+    r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem, whose r at the 12 row corners
+    is one product with w): tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
     term tau c^2 c_K vol_K d_nu d_mu (summed once per element edge, put on both
     slots), with c_K, r and it once per distinct |c|, and returns
     w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
@@ -430,28 +435,30 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
         space = ws._edges
         datas = [tau * t for t in space.transport(phi, cfg.drift)]
     else:
-        space, geo, g = ws, mesh.geometry, mesh.geometry.grad_axes        # g: (4, 3, M)
-        p = phi[mesh.tets.T]
-        gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
-        d = gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]   # (4, M)
-        d_row, quarter_vol = d[_EDGE_ENDS[0]], 0.25 * geo.volumes   # d at row corners; int_K psi_j
+        space, geo = ws, mesh.geometry
+        dphi = _INCIDENCE @ phi[mesh.tets.T]                 # (6, M): phi_nu - phi_mu
         base = tau * ws.stiffness_data
         if cfg.scheme == "fem":
-            conv = ws.from_edges(tau * quarter_vol * d_row)
+            dphi *= geo.omega.T                # w = omega dphi, in place: one (6, M) array fewer
+            conv = ws.from_edges((0.25 * tau * _AT_ROWS) @ dphi)
             datas = [base + c * conv for c in cfg.drift]
         else:
-            speed, h_k, terms, datas = np.linalg.norm(gphi, axis=0), geo.diameters, {}, []
+            w = geo.omega.T * dphi                               # vol_K d = D^T w
+            speed = np.sqrt(np.maximum(np.einsum("em,em->m", w, dphi), 0.0) / geo.volumes)
+            vd, vd_row = _INCIDENCE.T @ w, _AT_ROWS @ w     # vol_K d_i at corners, at row corners
+            del dphi, w
+            vv, h_k, terms, datas = vd_row[:6] * vd_row[6:], geo.diameters, {}, []
+            vv /= geo.volumes                                             # vol_K d_nu d_mu
             for m in {abs(c) for c in cfg.drift}:       # c_K and the stream term need only |c|
                 cs = m * speed                                             # |c grad(phi)| per tet
                 c_k = np.where(0.5 * h_k * cs >= 1.0,                      # cell Peclet number
                                cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
                                cfg.supg_scale * h_k * h_k / 4.0)
-                stream = (tau * m * m) * c_k * geo.volumes * d_row[:6] * d_row[6:]
-                terms[m] = (c_k, ws.from_edges((tau - c_k) * quarter_vol * d_row),
-                            ws.from_edges(stream))
+                terms[m] = (c_k, ws.from_edges(vd_row * (0.25 * (tau - c_k))),
+                            ws.from_edges(vv * ((tau * m * m) * c_k)))
             for i, c in enumerate(cfg.drift):
                 c_k, rows, stream = terms[abs(c)]
-                stab_w[i] = (-c * c_k * d).T                              # w_K.grad(psi_i)
+                stab_w[i] = (-c * c_k / geo.volumes * vd).T                # w_K.grad(psi_i)
                 datas.append(base + c * rows + stream)
     for data in datas:
         data[space.diag_slots] += ws.lumped / 4.0

@@ -54,7 +54,8 @@ class _MeshGeometry:
     are written out as full-length multiply-adds over rows of M elements, and
     the diameters come from squared edge lengths.  grad_axes[i, d] is the d-th
     component of grad(lambda_i) over all elements, one contiguous row of M;
-    grad_lambda is the (M, 4, 3) element-major view of the same memory.
+    grad_lambda is the (M, 4, 3) element-major view of the same memory, as
+    omega (M, 6) is of one (6, M) array, a row per local edge.  All are read-only.
     """
 
     __slots__ = ("volumes", "grad_axes", "grad_lambda", "omega", "diameters")
@@ -84,10 +85,12 @@ class _MeshGeometry:
         g[1:] /= det6
         np.negative(g[1] + g[2] + g[3], out=g[0])
         self.volumes = det6 / 6.0
-        self.omega = np.empty((tets.shape[0], len(LOCAL_EDGES)))
+        omega = np.empty((len(LOCAL_EDGES), tets.shape[0]))     # (6, M), C order
         for e, (nu, mu) in enumerate(LOCAL_EDGES):
-            np.multiply(-self.volumes, _dot3(g[mu], g[nu]), out=self.omega[:, e])
-        self.grad_lambda = g.transpose(2, 0, 1)
+            np.multiply(-self.volumes, _dot3(g[mu], g[nu]), out=omega[e])
+        for a in (omega, g, self.volumes, self.diameters):
+            a.flags.writeable = False
+        self.omega, self.grad_lambda = omega.T, g.transpose(2, 0, 1)   # read-only views
 
 
 class BoxMesh:

@@ -25,13 +25,16 @@ code paths must decline, and ``five_tet_cube`` a hand-built ``from_cells``
 mesh.  ``oracle_sources`` keeps the manufactured sources as the package
 formerly evaluated them, one named physical term per full-length array, and
 ``einsum_quadrature_points`` the former einsum form of the quadrature points.
+``gradient_form_np`` keeps the former fem/supg element pass, from grad(phi_h)
+over the (4, 3, M) gradients, as the reference for the edge-weight form.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from pnpfem.assembly import bernoulli
+from pnpfem import assembly
+from pnpfem.assembly import AssembledNP, bernoulli
 from pnpfem.linalg import SparseMatrix
 from pnpfem.manufactured import C_DRIFT
 from pnpfem.mesh import BoxMesh, build_box_mesh
@@ -290,6 +293,41 @@ def transpose_edge_table(pattern, diag_slots, edge_slots, stiffness_data):
     slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
                             new_diag[a], new_diag[b]))
     return pruned, a, b, -stiffness_data[upper], slots, new_diag
+
+
+def gradient_form_np(mesh, phi, cfg, tau):
+    """fem or supg systems of both species, as ``assemble_np`` formerly built them.
+
+    grad(phi_h) and d_i = grad(phi_h).grad(psi_i) come from the (4, 3, M)
+    gradients; the transport is summed over element edges by ``from_edges``,
+    entry (nu, mu) c r_nu with r = (tau - c_K) vol_K d / 4, plus supg's
+    streamline term tau c^2 c_K vol_K d_nu d_mu and weights -c c_K d_i.
+    """
+    ws, geo, g = assembly._workspace(mesh), mesh.geometry, mesh.geometry.grad_axes
+    ends = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
+    p = phi[mesh.tets.T]
+    gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
+    d = gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]   # (4, M)
+    d_row, quarter_vol = d[ends[0]], 0.25 * geo.volumes
+    base, datas, stab_w = tau * ws.stiffness_data, [], [None, None]
+    if cfg.scheme == "fem":
+        conv = ws.from_edges(tau * quarter_vol * d_row)
+        datas = [base + c * conv for c in cfg.drift]
+    else:
+        speed, h_k = np.linalg.norm(gphi, axis=0), geo.diameters
+        for i, c in enumerate(cfg.drift):
+            cs = abs(c) * speed
+            c_k = np.where(0.5 * h_k * cs >= 1.0,
+                           cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
+                           cfg.supg_scale * h_k * h_k / 4.0)
+            stream = (tau * c * c) * c_k * geo.volumes * d_row[:6] * d_row[6:]
+            rows = ws.from_edges((tau - c_k) * quarter_vol * d_row)
+            stab_w[i] = (-c * c_k * d).T
+            datas.append(base + c * rows + ws.from_edges(stream))
+    for data in datas:
+        data[ws.diag_slots] += ws.lumped / 4.0
+    assembly._identity_rows(ws, mesh.boundary, datas)
+    return [AssembledNP(ws.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]
 
 
 def from_coo(n, rows, cols, vals):

@@ -347,6 +347,63 @@ def test_supg_parameter_branch_continuity():
     assert upwind == pytest.approx(diffusive, rel=1e-14)
 
 
+def supg_parameters(mesh, phi, slope, cfg):
+    """c_K of each species read back from its weights -c c_K d_i at phi = x . slope.
+
+    d_i = slope . grad(lambda_i) is known in closed form for a linear phi; each
+    tet is read at its largest |d_i|.
+    """
+    d = mesh.geometry.grad_lambda @ slope                       # (M, 4)
+    k, i = np.arange(mesh.n_tets), np.abs(d).argmax(axis=1)
+    systems = assemble_np(mesh, phi, cfg, 0.02)
+    return [-s.stab_grad_weights[k, i] / (c * d[k, i]) for c, s in zip(cfg.drift, systems)]
+
+
+def test_supg_speed_of_a_constant_potential():
+    # every element-edge difference is 0, so |grad phi_K| = 0 and c_K multiplies
+    # only zeros: no 0/0, finite zero weights, and the fem matrices exactly
+    mesh = jittered_box()
+    phi = np.full(mesh.n_nodes, 0.3)
+    with np.errstate(invalid="raise", divide="raise"):
+        supg = assemble_np(mesh, phi, SchemeConfig(scheme="supg", drift=(0.7, -1.3)), 0.02)
+    fem = assemble_np(mesh, phi, SchemeConfig(scheme="fem", drift=(0.7, -1.3)), 0.02)
+    for s, f in zip(supg, fem):
+        assert np.array_equal(s.stab_grad_weights, np.zeros((mesh.n_tets, 4)))
+        assert np.array_equal(s.matrix.data, f.matrix.data)
+    # c_K is the zero-speed value supg_scale h_K^2 / 4 wherever the cell Peclet
+    # number is below 1; at slope 1e-9 it is about 1e-9 on every tet
+    slope, cfg = 1e-9 * np.array([0.3, -1.1, 0.7]), np_cfg("supg", 0.7, supg_scale=1.7)
+    expect = 1.7 * mesh.geometry.diameters ** 2 / 4.0
+    for c_k in supg_parameters(mesh, mesh.nodes @ slope, slope, cfg):
+        assert np.abs(c_k / expect - 1.0).max() <= 1e-14
+
+
+def test_supg_speed_of_a_linear_potential():
+    # at cell Peclet numbers above 1, c_K = supg_scale h_K / (2 |c| |grad phi_K|)
+    mesh = jittered_box()
+    slope = 1e3 * np.array([0.3, -1.1, 0.7])
+    cfg = SchemeConfig(scheme="supg", drift=(0.7, -1.3), supg_scale=1.7)
+    for c, c_k in zip(cfg.drift, supg_parameters(mesh, mesh.nodes @ slope, slope, cfg)):
+        speed = 1.7 * mesh.geometry.diameters / (2.0 * abs(c) * c_k)
+        assert np.abs(speed / np.linalg.norm(slope) - 1.0).max() <= 1e-14
+
+
+def test_supg_speed_rounding_below_zero_is_clamped():
+    # on this sliver, sum_e omega_e dphi_e^2 rounds to about -4e-9, below 0;
+    # its square root must not make NaN weights
+    nodes = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1e-8]], dtype=float)
+    mesh = BoxMesh.from_cells(nodes, [[0, 1, 2, 3]])
+    phi = np.array([0.20571933980391938, 1.1127984351355256, 0.8151346032009692,
+                    -0.09194449277585104])
+    nu, mu = np.array(LOCAL_EDGES).T
+    dphi = phi[nu] - phi[mu]
+    assert (mesh.geometry.omega[0] * dphi) @ dphi < 0.0
+    with np.errstate(invalid="raise", divide="raise"):
+        systems = assemble_np(mesh, phi, np_cfg("supg", 0.7), 0.02)
+    for s in systems:
+        assert np.isfinite(s.stab_grad_weights).all() and np.isfinite(s.matrix.data).all()
+
+
 def test_supg_stab_matches_oracle_two_tets():
     nodes = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float
@@ -792,6 +849,37 @@ def test_both_species_match_oracle(scheme, drift, make):
                 assert np.abs(system.stab_grad_weights - w).max() <= 1e-12 * np.abs(w).max()
             else:
                 assert system.stab_grad_weights is None
+
+
+EDGE_FORM_MESHES = {
+    "box48": lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
+    "jittered": jittered_box,       # negative and zero omega
+    "cube5_x0": cube_fixed_at_x0,
+    "kuhn8": lambda: build_box_mesh(8),
+}
+
+
+@pytest.mark.parametrize("steps", [1.0, 4.0], ids=["h2", "4h2"])
+@pytest.mark.parametrize("scheme", ["fem", "supg"])
+@pytest.mark.parametrize("make", EDGE_FORM_MESHES.values(), ids=EDGE_FORM_MESHES.keys())
+def test_edge_form_matches_gradient_form_oracle(make, scheme, steps):
+    # fem and supg are built from omega and the element-edge differences of phi;
+    # the gradient form they replaced differs from them in rounding only
+    mesh = make()
+    phi = np.random.default_rng(14).uniform(-1.5, 1.5, mesh.n_nodes)
+    tau, cfg = steps * mesh.h ** 2, SchemeConfig(scheme=scheme, drift=(0.7, -1.3))
+    scale = None   # the largest entry without identity rows
+    for mesh in (unconstrained(mesh), mesh):
+        expect = oracles.gradient_form_np(mesh, phi, cfg, tau)
+        scale = scale or max(np.abs(e.matrix.data).max() for e in expect)
+        for ours, old in zip(assemble_np(mesh, phi, cfg, tau), expect, strict=True):
+            assert np.array_equal(ours.matrix.indices, old.matrix.indices)
+            assert np.abs(ours.matrix.data - old.matrix.data).max() <= 1e-14 * scale
+            if scheme == "fem":
+                assert ours.stab_grad_weights is None
+            else:
+                w, w_old = ours.stab_grad_weights, old.stab_grad_weights
+                assert np.abs(w - w_old).max() <= 1e-14 * np.abs(w_old).max()
 
 
 def test_dispatcher_selects_scheme():

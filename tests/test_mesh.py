@@ -68,8 +68,21 @@ def test_axis_major_gradients_keep_the_element_geometry():
         # the assembly reads without copying
         assert geo.grad_lambda.base is geo.grad_axes
         assert geo.grad_axes.shape == (4, 3, mesh.n_tets) and geo.grad_axes.flags.c_contiguous
+        # omega is the (M, 6) view of one C-contiguous (6, M) array, a row of M per local edge
+        assert geo.omega.T.shape == (6, mesh.n_tets) and geo.omega.T.flags.c_contiguous
         for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
             assert np.array_equal(ours, old)
+
+
+def test_geometry_is_read_only():
+    # every assembly reads these arrays; a write would change every later system
+    geo = jittered_box().geometry
+    arrays = [getattr(geo, name) for name in geo.__slots__] + [geo.omega.T]
+    assert len(arrays) == 6
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 def test_kuhn_path_tet_geometry():
