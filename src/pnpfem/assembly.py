@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SparseMatrix
-from .mesh import LOCAL_EDGES, BoxMesh
+from .mesh import LOCAL_EDGES, BoxMesh, _mapped_zeros
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -97,6 +97,7 @@ class _Workspace:
     and ``lower[k]`` for (a, b) and (b, a) and ``weight[k]``, the sum of omega
     over its tets: the stiffness is -weight there, with zero column sums.
     ``edge_slots`` (2, 6, M) holds per LOCAL_EDGES (nu, mu) the slots of (nu, mu), (mu, nu).
+    Arrays that grow with M are ``_mapped_zeros`` arrays, filled in place.
     """
 
     __slots__ = ("pattern", "edge_slots", "diag_slots", "ends", "weight", "upper", "lower",
@@ -109,22 +110,25 @@ class _Workspace:
         keys = np.where(fwd, first * n + second, second * n + first).ravel()
         del first, second
         keys, inverse = np.unique(keys, return_inverse=True)
-        self.ends = a, b = np.divmod(keys, n)
+        self.ends = a, b = np.divmod(keys, n, out=(_mapped_zeros(keys.shape, np.int64),
+                                                  _mapped_zeros(keys.shape, np.int64)))
         degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
         if not degree.all():
             raise AssertionError("mesh has nodes that belong to no element")
         # the N diagonal, E upper and E lower keys, sorted once into CSR order
         nodes = np.arange(n)
         order = np.argsort(np.concatenate((nodes * (n + 1), keys, b * n + a)))
-        slot = np.empty_like(order)
+        slot = _mapped_zeros(order.shape, np.int64)
         slot[order] = np.arange(order.size)
         self.diag_slots, self.upper, self.lower = np.split(slot, (n, n + keys.size))
         self.pattern = SparseMatrix(n, np.concatenate(([0], np.cumsum(degree + 1))),
-                                    np.concatenate((nodes, b, a))[order], np.zeros(order.size),
-                                    _checked=True)
+                                    np.take(np.concatenate((nodes, b, a)), order,
+                                            out=_mapped_zeros(order.shape, np.int64)),
+                                    _mapped_zeros(order.size), _checked=True)
         del order, slot, keys
-        self.weight = w = np.bincount(inverse, weights=geo.omega.ravel(), minlength=a.size)
-        self.stiffness_data = data = np.zeros(self.pattern.nnz)
+        self.weight = w = _mapped_zeros(a.size)
+        w[:] = np.bincount(inverse, weights=geo.omega.ravel(), minlength=a.size)
+        self.stiffness_data = data = _mapped_zeros(self.pattern.nnz)
         data[self.upper] = data[self.lower] = -w
         data[self.diag_slots] = np.bincount(a, w, n) + np.bincount(b, w, n)   # zero column sums
         # (nu, mu) of a tet is its edge's (a, b) where tets[nu] < tets[mu], else (b, a)
@@ -132,7 +136,8 @@ class _Workspace:
         upper, lower = self.upper[inverse], self.lower[inverse]
         del inverse
         ahead = np.where(fwd.T, upper, lower)
-        self.edge_slots = np.stack((ahead, upper + lower - ahead))    # (nu, mu), (mu, nu)
+        self.edge_slots = np.stack((ahead, upper + lower - ahead),    # (nu, mu), (mu, nu)
+                                   out=_mapped_zeros((2, *ahead.shape), np.int64))
         self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
         self._edges = None  # the eafe _EdgeTable, built on first use
         self._potential = None  # potential_system(mesh), built on first use

@@ -20,6 +20,7 @@ instead of assuming anything about the mesh.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,20 @@ __all__ = [
 
 #: Local vertex pairs (nu, mu) of the six edges of a tetrahedron, nu < mu.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _mapped_zeros(shape, dtype=float) -> np.ndarray:
+    """Zeros for an array kept as long as its mesh: its own memory mapping from 8 MiB.
+
+    Left on the malloc heap, such arrays sit in the holes of the set-up temporaries, so
+    where later large arrays fit, and the peak memory, would depend on the meshes before.
+    Smaller ones stay there: fresh pages cost more set-up time than their holes cost memory.
+    """
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if size < (8 << 20):
+        return np.zeros(shape, dtype)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype).reshape(shape)
 
 
 class DegenerateTetError(ValueError):
@@ -55,7 +70,8 @@ class _MeshGeometry:
     the diameters come from squared edge lengths.  grad_axes[i, d] is the d-th
     component of grad(lambda_i) over all elements, one contiguous row of M;
     grad_lambda is the (M, 4, 3) element-major view of the same memory, as
-    omega (M, 6) is of one (6, M) array, a row per local edge.  All are read-only.
+    omega (M, 6) is of one (6, M) array, a row per local edge.  All are read-only
+    ``_mapped_zeros`` arrays.
     """
 
     __slots__ = ("volumes", "grad_axes", "grad_lambda", "omega", "diameters")
@@ -66,11 +82,11 @@ class _MeshGeometry:
         for nu, mu in LOCAL_EDGES:
             dx = x[:, mu] - x[:, nu]
             np.maximum(sq, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2], out=sq)
-        self.diameters = np.sqrt(sq)
+        self.diameters = np.sqrt(sq, out=_mapped_zeros(sq.shape))
         u, v, w = (x[:, k] - x[:, 0] for k in (1, 2, 3))
         del x, sq, dx                  # freed before the gradients, the peak here
 
-        g = self.grad_axes = np.empty((4, *u.shape))     # (4, 3, M), C order
+        g = self.grad_axes = _mapped_zeros((4, *u.shape))     # (4, 3, M), C order
         for i, (a, b) in enumerate(((v, w), (w, u), (u, v)), start=1):   # g_i = a x b
             for d, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
                 np.subtract(a[j] * b[k], a[k] * b[j], out=g[i, d])
@@ -84,8 +100,8 @@ class _MeshGeometry:
         del u, v, w
         g[1:] /= det6
         np.negative(g[1] + g[2] + g[3], out=g[0])
-        self.volumes = det6 / 6.0
-        omega = np.empty((len(LOCAL_EDGES), tets.shape[0]))     # (6, M), C order
+        self.volumes = np.divide(det6, 6.0, out=_mapped_zeros(det6.shape))
+        omega = _mapped_zeros((len(LOCAL_EDGES), tets.shape[0]))     # (6, M), C order
         for e, (nu, mu) in enumerate(LOCAL_EDGES):
             np.multiply(-self.volumes, _dot3(g[mu], g[nu]), out=omega[e])
         for a in (omega, g, self.volumes, self.diameters):
@@ -201,7 +217,8 @@ def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:
     ).reshape(-1, 3)                               # (n^3, 3) cell origins
     # corner lattice coordinates: (n^3, 6, 4, 3) -> node ids
     corner_ijk = cells[:, None, None, :] + _KUHN_CORNERS[None, :, :, :]
-    ids = (corner_ijk[..., 0] * m + corner_ijk[..., 1]) * m + corner_ijk[..., 2]
+    ids = np.add((corner_ijk[..., 0] * m + corner_ijk[..., 1]) * m, corner_ijk[..., 2],
+                 out=_mapped_zeros(corner_ijk.shape[:-1], np.int64))
     tets = ids.reshape(-1, 4)
 
     return BoxMesh(nodes, tets, boundary)

@@ -1,4 +1,6 @@
 import math
+import mmap
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +21,7 @@ from pnpfem.assembly import (
     stab_source_vector,
 )
 from pnpfem.linalg import solve_general, spmv
-from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, build_box_mesh
+from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, _mapped_zeros, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
 
@@ -675,6 +677,7 @@ def test_workspace_setup_holds_no_slot_table():
 SETUP_MESHES = {
     "kuhn4": lambda: build_box_mesh(4),
     "kuhn8": lambda: build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3),
+    "kuhn32": lambda: build_box_mesh(32),   # arrays of 8 MiB and more: _mapped_zeros
     "jittered": jittered_box,
     "cube5": oracles.five_tet_cube,
 }
@@ -713,6 +716,47 @@ def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
     once, twice = ws.from_edges(vals), ws.from_edges(np.concatenate((vals, vals)))
     assert np.array_equal(once[ws.upper], once[ws.lower])
     assert np.abs(once - twice).max() <= 1e-14 * np.abs(twice).max()
+
+
+def _memory_owner(a):
+    """The object an array's memory comes from, past any views; None if it owns it."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_mapped_zeros_take_their_own_pages_from_8_mib():
+    small, big = _mapped_zeros((1 << 20) - 1), _mapped_zeros((2, 1 << 19), np.int64)
+    assert _memory_owner(small) is None and isinstance(_memory_owner(big), mmap.mmap)
+    assert small.shape == ((1 << 20) - 1,) and small.dtype == float
+    assert big.shape == (2, 1 << 19) and big.dtype == np.int64
+    for a in (small, big):
+        assert a.flags.c_contiguous and a.flags.writeable and not a.any()
+
+
+def test_large_mesh_arrays_stay_off_the_malloc_heap():
+    # on the heap, per-mesh arrays would sit in the holes of the set-up temporaries, and
+    # where later large arrays fit would depend on how many meshes were built before
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mesh = build_box_mesh(32)
+        ws = assembly._workspace(mesh)
+        on_heap = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    geo = mesh.geometry
+    mapped = (geo.grad_axes, geo.omega, ws.edge_slots)
+    assert all(isinstance(_memory_owner(a), mmap.mmap) for a in mapped)
+    kept = (mesh.nodes, mesh.tets, mesh.boundary, geo.volumes, geo.diameters, *ws.ends,
+            ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.pattern.data,
+            ws.weight, ws.stiffness_data, ws.lumped)
+    assert all(_memory_owner(a) is None for a in kept)
+    assert on_heap < sum(a.nbytes for a in kept) + (1 << 20)
+    volumes, grad, omega, diam = oracles.element_major_geometry(mesh)
+    for ours, old in ((geo.volumes, volumes), (geo.grad_lambda, grad), (geo.omega, omega),
+                      (geo.diameters, diam)):
+        assert np.array_equal(ours, old) and not ours.flags.writeable
 
 
 def test_grid_solver_found_on_kuhn_boxes_after_edge_setup():
