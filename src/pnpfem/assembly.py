@@ -160,7 +160,7 @@ class _Workspace:
 class _EdgeTable:
     """Mesh edges of nonzero weight and their slots in the pruned pattern.
 
-    An edge's weight, the sum of omega = -vol * grad_lambda_a . grad_lambda_b
+    An edge's weight, the sum of omega = -vol * grad(lambda_a) . grad(lambda_b)
     over its tets, is minus its stiffness entry.  Edges of weight exactly zero
     couple nothing in the eafe operator and are pruned; negative ones stay.
     Edges, weights and slots are the workspace's, without the pruned edges.

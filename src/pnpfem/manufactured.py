@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import SchemeConfig
+from .mesh import _BLOCK, _gradients
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -40,7 +41,6 @@ C_DRIFT = 0.179
 _3PI2 = 3.0 * np.pi**2
 
 FIELDS = ("u", "p", "n")
-_SCORE_BLOCK = 4096  # elements per block in error_norms
 
 
 def _as_points(x):
@@ -153,24 +153,24 @@ def _coefficients(t: float):
 def error_norms(mesh, dofs, field: str, t: float, order: int = 5):
     """L2 and H1-seminorm errors of a nodal vector against an exact field.
 
-    Per-element quadrature of the stated order (default degree 5, enough for
-    the degree-4 products that arise from P1 differences), summed over
-    blocks of ``_SCORE_BLOCK`` elements so that memory stays bounded.
+    Per-element quadrature of the stated order (default degree 5, enough for the
+    degree-4 products that arise from P1 differences), summed over blocks of
+    ``_BLOCK`` elements, each computing its own barycentric gradients.
     """
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.n_nodes,):
         raise ValueError("dof vector does not match the mesh")
     pts, wts = rule_for_order(order)
-    geo = mesh.geometry
+    volumes = mesh.geometry.volumes                   # raises DegenerateTetError for inverted tets
     l2sq = h1sq = 0.0
-    for lo in range(0, mesh.n_tets, _SCORE_BLOCK):
-        blk = slice(lo, lo + _SCORE_BLOCK)
-        tets, vol = mesh.tets[blk], geo.volumes[blk]
+    for lo in range(0, mesh.n_tets, _BLOCK):
+        tets, vol = mesh.tets[lo:lo + _BLOCK], volumes[lo:lo + _BLOCK]
+        grad = _gradients(mesh.nodes.T[:, tets.T])[0]                 # (4, 3, B)
         xq = np.einsum("qk,mkd->mqd", pts, mesh.nodes[tets])         # (B, Q, 3)
         exact_val, exact_grad, _ = exact_eval(field, xq.reshape(-1, 3), t)
         local = dofs[tets]                                            # (B, 4)
         dv = local @ pts.T - exact_val.reshape(xq.shape[:2])          # (B, Q)
-        guh = np.einsum("mk,mkd->md", local, geo.grad_lambda[blk])    # (B, 3)
+        guh = np.einsum("mk,kdm->md", local, grad)                    # (B, 3)
         dg = guh[:, None, :] - exact_grad.reshape(xq.shape)           # (B, Q, 3)
         l2sq += float(np.einsum("m,mq,q->", vol, dv * dv, wts))
         h1sq += float(np.einsum("m,mq,q->", vol, np.einsum("mqd,mqd->mq", dg, dg), wts))

@@ -6,10 +6,10 @@ subdivision).  That keeps the triangulation face-to-face across neighbouring
 cells and fixes node and element numbering, which in turn makes every
 assembled sparsity pattern reproducible bit for bit.
 
-Besides connectivity, the mesh exposes per-element geometry: element volumes,
-gradients of the barycentric coordinates, and the edge weights
+Besides connectivity, the mesh exposes per-element volumes, diameters and the
+edge weights, from barycentric gradients computed per block and not kept,
 
-    omega[e] = -volume * (grad_lambda[mu] . grad_lambda[nu])
+    omega[e] = -volume * (grad(lambda_mu) . grad(lambda_nu))
 
 for each of the six local edges e = (nu, mu).  Positivity of these weights is
 the mesh condition under which the exponentially fitted scheme produces a
@@ -37,14 +37,16 @@ __all__ = [
 
 #: Local vertex pairs (nu, mu) of the six edges of a tetrahedron, nu < mu.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_BLOCK = 4096  # elements per block of the geometry and error-norm passes
 
 
 def _mapped_zeros(shape, dtype=float) -> np.ndarray:
     """Zeros for an array kept as long as its mesh: its own memory mapping from 8 MiB.
 
-    Left on the malloc heap, such arrays sit in the holes of the set-up temporaries, so
-    where later large arrays fit, and the peak memory, would depend on the meshes before.
-    Smaller ones stay there: fresh pages cost more set-up time than their holes cost memory.
+    Left on the malloc heap, such arrays sit in the holes of the set-up temporaries, so where
+    later large arrays fit, and the peak memory, would depend on the meshes before.  Smaller
+    ones stay there: fresh pages cost more set-up time than their holes cost memory.  At
+    n = 32 only omega and the workspace's edge_slots are mapped, 27 MiB together.
     """
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if size < (8 << 20):
@@ -62,51 +64,49 @@ def _dot3(a, b) -> np.ndarray:
     return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
 
 
-class _MeshGeometry:
-    """Vectorized per-element geometry for a whole mesh, computed axis-major.
+def _gradients(x):
+    """Barycentric gradients (4, 3, B) and volumes (B,) of the tets with corners x (3, 4, B)."""
+    u, v, w = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    g = np.empty((4, *u.shape))
+    for i, (a, b) in enumerate(((v, w), (w, u), (u, v)), start=1):   # g_i = a x b
+        for d, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.subtract(a[j] * b[k], a[k] * b[j], out=g[i, d])
+    det6 = _dot3(u, g[1])
+    np.divide(g[1:], det6, out=g[1:], where=det6 > 0.0)   # degenerate tets: the caller raises
+    np.negative(g[1] + g[2] + g[3], out=g[0])
+    return g, det6 / 6.0
 
-    The corners are gathered as one (3, 4, M) array; cross and dot products
-    are written out as full-length multiply-adds over rows of M elements, and
-    the diameters come from squared edge lengths.  grad_axes[i, d] is the d-th
-    component of grad(lambda_i) over all elements, one contiguous row of M;
-    grad_lambda is the (M, 4, 3) element-major view of the same memory, as
-    omega (M, 6) is of one (6, M) array, a row per local edge.  All are read-only
-    ``_mapped_zeros`` arrays.
+
+class _MeshGeometry:
+    """Per-element geometry of a whole mesh, computed in blocks of ``_BLOCK`` elements.
+
+    Each block's (3, 4, B) corners give its squared edge lengths and ``_gradients``; only
+    volumes, diameters and omega (M, 6), the view of one (6, M) array, are kept, read-only.
     """
 
-    __slots__ = ("volumes", "grad_axes", "grad_lambda", "omega", "diameters")
+    __slots__ = ("volumes", "omega", "diameters")
 
     def __init__(self, nodes: np.ndarray, tets: np.ndarray):
-        x = nodes.T[:, tets.T]                     # (3, 4, M): axis, corner, element
-        sq = np.zeros(tets.shape[0])
-        for nu, mu in LOCAL_EDGES:
-            dx = x[:, mu] - x[:, nu]
-            np.maximum(sq, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2], out=sq)
-        self.diameters = np.sqrt(sq, out=_mapped_zeros(sq.shape))
-        u, v, w = (x[:, k] - x[:, 0] for k in (1, 2, 3))
-        del x, sq, dx                  # freed before the gradients, the peak here
-
-        g = self.grad_axes = _mapped_zeros((4, *u.shape))     # (4, 3, M), C order
-        for i, (a, b) in enumerate(((v, w), (w, u), (u, v)), start=1):   # g_i = a x b
-            for d, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-                np.subtract(a[j] * b[k], a[k] * b[j], out=g[i, d])
-        det6 = _dot3(u, g[1])
-        bad = np.flatnonzero(det6 <= 0.0)
+        self.volumes, self.diameters = _mapped_zeros(len(tets)), _mapped_zeros(len(tets))
+        omega = _mapped_zeros((len(LOCAL_EDGES), len(tets)))   # (6, M), C order
+        for lo in range(0, len(tets), _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            x = nodes.T[:, tets[blk].T]                    # (3, 4, B): axis, corner, element
+            sq = np.zeros(x.shape[2])
+            for nu, mu in LOCAL_EDGES:
+                dx = x[:, mu] - x[:, nu]
+                np.maximum(sq, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2], out=sq)
+            np.sqrt(sq, out=self.diameters[blk])
+            g, self.volumes[blk] = _gradients(x)
+            for e, (nu, mu) in enumerate(LOCAL_EDGES):
+                np.multiply(-self.volumes[blk], _dot3(g[mu], g[nu]), out=omega[e, blk])
+        bad = np.flatnonzero(self.volumes <= 0.0)
         if bad.size:
-            raise DegenerateTetError(
-                f"tet {bad[0]} has nonpositive volume {det6[bad[0]] / 6.0:g} "
-                f"({bad.size} offending tets in total)"
-            )
-        del u, v, w
-        g[1:] /= det6
-        np.negative(g[1] + g[2] + g[3], out=g[0])
-        self.volumes = np.divide(det6, 6.0, out=_mapped_zeros(det6.shape))
-        omega = _mapped_zeros((len(LOCAL_EDGES), tets.shape[0]))     # (6, M), C order
-        for e, (nu, mu) in enumerate(LOCAL_EDGES):
-            np.multiply(-self.volumes, _dot3(g[mu], g[nu]), out=omega[e])
-        for a in (omega, g, self.volumes, self.diameters):
+            raise DegenerateTetError(f"tet {bad[0]} has nonpositive volume {self.volumes[bad[0]]:g} "
+                                     f"({bad.size} offending tets in total)")
+        for a in (omega, self.volumes, self.diameters):
             a.flags.writeable = False
-        self.omega, self.grad_lambda = omega.T, g.transpose(2, 0, 1)   # read-only views
+        self.omega = omega.T                               # read-only view
 
 
 class BoxMesh:
@@ -151,7 +151,7 @@ class BoxMesh:
 
     @property
     def geometry(self) -> _MeshGeometry:
-        """Per-element volumes, barycentric gradients and edge weights."""
+        """Per-element volumes, diameters and edge weights."""
         if self._geometry is None:
             self._geometry = _MeshGeometry(self.nodes, self.tets)
         return self._geometry

@@ -26,7 +26,9 @@ mesh.  ``oracle_sources`` keeps the manufactured sources as the package
 formerly evaluated them, one named physical term per full-length array, and
 ``einsum_quadrature_points`` the former einsum form of the quadrature points.
 ``gradient_form_np`` keeps the former fem/supg element pass, from grad(phi_h)
-over the (4, 3, M) gradients, as the reference for the edge-weight form.
+over the (4, 3, M) gradients, as the reference for the edge-weight form, and
+``stored_gradient_error_norms`` the former ``error_norms``, which read the
+gradients of the whole mesh, as the reference for the per-block gradients.
 """
 
 from functools import lru_cache
@@ -36,8 +38,8 @@ import numpy as np
 from pnpfem import assembly
 from pnpfem.assembly import AssembledNP, bernoulli
 from pnpfem.linalg import SparseMatrix
-from pnpfem.manufactured import C_DRIFT
-from pnpfem.mesh import BoxMesh, build_box_mesh
+from pnpfem.manufactured import C_DRIFT, exact_eval
+from pnpfem.mesh import _BLOCK, BoxMesh, build_box_mesh
 from pnpfem.quadrature import rule_for_order
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -299,11 +301,13 @@ def gradient_form_np(mesh, phi, cfg, tau):
     """fem or supg systems of both species, as ``assemble_np`` formerly built them.
 
     grad(phi_h) and d_i = grad(phi_h).grad(psi_i) come from the (4, 3, M)
-    gradients; the transport is summed over element edges by ``from_edges``,
-    entry (nu, mu) c r_nu with r = (tau - c_K) vol_K d / 4, plus supg's
-    streamline term tau c^2 c_K vol_K d_nu d_mu and weights -c c_K d_i.
+    view of ``element_major_geometry``'s gradients; the transport is summed
+    over element edges by ``from_edges``, entry (nu, mu) c r_nu with
+    r = (tau - c_K) vol_K d / 4, plus supg's streamline term
+    tau c^2 c_K vol_K d_nu d_mu and weights -c c_K d_i.
     """
-    ws, geo, g = assembly._workspace(mesh), mesh.geometry, mesh.geometry.grad_axes
+    ws, geo = assembly._workspace(mesh), mesh.geometry
+    g = element_major_geometry(mesh)[1].transpose(1, 2, 0)          # (4, 3, M)
     ends = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
     p = phi[mesh.tets.T]
     gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
@@ -328,6 +332,26 @@ def gradient_form_np(mesh, phi, cfg, tau):
         data[ws.diag_slots] += ws.lumped / 4.0
     assembly._identity_rows(ws, mesh.boundary, datas)
     return [AssembledNP(ws.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]
+
+
+def stored_gradient_error_norms(mesh, dofs, field, t, order=5):
+    """(L2, H1-seminorm) errors as ``error_norms`` formerly summed them, in blocks of
+    ``_BLOCK`` elements, reading each block's rows of the (M, 4, 3) mesh gradients."""
+    pts, wts = rule_for_order(order)
+    volumes, grad, _, _ = element_major_geometry(mesh)
+    l2sq = h1sq = 0.0
+    for lo in range(0, mesh.n_tets, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        tets, vol = mesh.tets[blk], volumes[blk]
+        xq = np.einsum("qk,mkd->mqd", pts, mesh.nodes[tets])
+        exact_val, exact_grad, _ = exact_eval(field, xq.reshape(-1, 3), t)
+        local = dofs[tets]
+        dv = local @ pts.T - exact_val.reshape(xq.shape[:2])
+        guh = np.einsum("mk,mkd->md", local, grad[blk])
+        dg = guh[:, None, :] - exact_grad.reshape(xq.shape)
+        l2sq += float(np.einsum("m,mq,q->", vol, dv * dv, wts))
+        h1sq += float(np.einsum("m,mq,q->", vol, np.einsum("mqd,mqd->mq", dg, dg), wts))
+    return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
 
 
 def from_coo(n, rows, cols, vals):

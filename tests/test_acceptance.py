@@ -100,10 +100,10 @@ def test_criterion_1_contraction_table():
         "criterion 1 (published contraction table reproduced)",
         value_ok and rate_ok,
         "the printed benchmark model contracts ~10x faster than the published "
-        "table (resolved alpha_bar ~1.0-1.2 tau vs 10.4-11.5 tau), and the "
-        "halving rates move with linear_tol because the concentration solves "
-        "resolve free rows only to linear_tol * ||b|| with ||b|| dominated by "
-        "the Dirichlet rows; see CHANGES.md",
+        "table (resolved alpha_bar ~1.0-1.2 tau vs 10.4-11.5 tau, nearly the "
+        "same factor for every tau and scheme), which points to a scale of the "
+        "paper's experiment that is not known; each clause's verdict is printed "
+        "above, and the value gap is ROADMAP item 2",
     )
 
 

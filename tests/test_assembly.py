@@ -355,7 +355,7 @@ def supg_parameters(mesh, phi, slope, cfg):
     d_i = slope . grad(lambda_i) is known in closed form for a linear phi; each
     tet is read at its largest |d_i|.
     """
-    d = mesh.geometry.grad_lambda @ slope                       # (M, 4)
+    d = oracles.element_major_geometry(mesh)[1] @ slope         # (M, 4)
     k, i = np.arange(mesh.n_tets), np.abs(d).argmax(axis=1)
     systems = assemble_np(mesh, phi, cfg, 0.02)
     return [-s.stab_grad_weights[k, i] / (c * d[k, i]) for c, s in zip(cfg.drift, systems)]
@@ -746,16 +746,15 @@ def test_large_mesh_arrays_stay_off_the_malloc_heap():
     finally:
         tracemalloc.stop()
     geo = mesh.geometry
-    mapped = (geo.grad_axes, geo.omega, ws.edge_slots)
+    mapped = (geo.omega, ws.edge_slots)
     assert all(isinstance(_memory_owner(a), mmap.mmap) for a in mapped)
     kept = (mesh.nodes, mesh.tets, mesh.boundary, geo.volumes, geo.diameters, *ws.ends,
             ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.pattern.data,
             ws.weight, ws.stiffness_data, ws.lumped)
     assert all(_memory_owner(a) is None for a in kept)
     assert on_heap < sum(a.nbytes for a in kept) + (1 << 20)
-    volumes, grad, omega, diam = oracles.element_major_geometry(mesh)
-    for ours, old in ((geo.volumes, volumes), (geo.grad_lambda, grad), (geo.omega, omega),
-                      (geo.diameters, diam)):
+    volumes, _, omega, diam = oracles.element_major_geometry(mesh)
+    for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
         assert np.array_equal(ours, old) and not ours.flags.writeable
 
 

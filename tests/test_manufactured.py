@@ -11,7 +11,7 @@ from pnpfem.manufactured import (
     source_terms,
     transient_problem,
 )
-from pnpfem.mesh import build_box_mesh
+from pnpfem.mesh import BoxMesh, DegenerateTetError, build_box_mesh
 
 BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -176,10 +176,26 @@ def test_error_norms_blocks_add_up_to_one_pass(monkeypatch):
     mesh = build_box_mesh(3, *BOX)
     dofs = np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_nodes)
     for field in ("u", "p", "n"):
-        monkeypatch.setattr(manufactured, "_SCORE_BLOCK", mesh.n_tets)
+        monkeypatch.setattr(manufactured, "_BLOCK", mesh.n_tets)
         whole = error_norms(mesh, dofs, field, 0.3)
-        monkeypatch.setattr(manufactured, "_SCORE_BLOCK", 7)
+        monkeypatch.setattr(manufactured, "_BLOCK", 7)
         assert error_norms(mesh, dofs, field, 0.3) == pytest.approx(whole, rel=1e-13, abs=0.0)
+
+
+def test_error_norms_per_block_gradients_match_the_stored_gradients():
+    # each block computes its own gradients; the sums are those of the mesh-wide gradients
+    for mesh in (build_box_mesh(8, *BOX), oracles.jittered_box()):
+        dofs = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_nodes)
+        for field in ("u", "p", "n"):
+            expect = oracles.stored_gradient_error_norms(mesh, dofs, field, 0.3)
+            assert error_norms(mesh, dofs, field, 0.3) == expect
+
+
+def test_error_norms_rejects_an_inverted_tet():
+    nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    mesh = BoxMesh.from_cells(nodes, [[0, 1, 2, 3], [0, 2, 1, 3]])
+    with pytest.raises(DegenerateTetError, match="tet 1 has nonpositive volume"):
+        error_norms(mesh, np.zeros(4), "u", 0.1)
 
 
 def test_error_norms_dimension_check():

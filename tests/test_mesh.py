@@ -1,11 +1,17 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import element_major_geometry, five_tet_cube, jittered_box
+from pnpfem import mesh as mesh_module
 from pnpfem.mesh import (
     LOCAL_EDGES,
     BoxMesh,
     DegenerateTetError,
+    _gradients,
+    _MeshGeometry,
     build_box_mesh,
     dump_mesh,
     mesh_quality_report,
@@ -53,32 +59,64 @@ def test_positive_volumes_and_box_volume():
 
 def test_grad_lambda_partition_of_unity():
     m = build_box_mesh(2, (0, 0, 0), (2, 1, 3))
-    sums = m.geometry.grad_lambda.sum(axis=1)
+    sums = element_major_geometry(m)[1].sum(axis=1)
     assert np.abs(sums).max() == 0.0
 
 
-def test_axis_major_gradients_keep_the_element_geometry():
+def test_axis_major_gradients_keep_the_element_geometry(monkeypatch):
     meshes = (build_box_mesh(4), build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3), jittered_box(),
               five_tet_cube())
     for mesh in meshes:
-        geo = mesh.geometry
         volumes, grad, omega, diam = element_major_geometry(mesh)
-        assert np.array_equal(geo.grad_lambda, grad)
-        # grad_lambda is a view of one C-contiguous (4, 3, M) array whose rows
-        # the assembly reads without copying
-        assert geo.grad_lambda.base is geo.grad_axes
-        assert geo.grad_axes.shape == (4, 3, mesh.n_tets) and geo.grad_axes.flags.c_contiguous
-        # omega is the (M, 6) view of one C-contiguous (6, M) array, a row of M per local edge
-        assert geo.omega.T.shape == (6, mesh.n_tets) and geo.omega.T.flags.c_contiguous
-        for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
-            assert np.array_equal(ours, old)
+        # the gradient helper, on (3, 4, M) corners, gives (4, 3, M) rows of the oracle's values
+        g, vol = _gradients(mesh.nodes.T[:, mesh.tets.T])
+        assert g.shape == (4, 3, mesh.n_tets) and g.flags.c_contiguous
+        assert np.array_equal(g.transpose(2, 0, 1), grad) and np.array_equal(vol, volumes)
+        # blocks of 7 elements, the last one short, give the one-block geometry bit for bit
+        for block in (7, 1 << 20):
+            monkeypatch.setattr(mesh_module, "_BLOCK", block)
+            geo = _MeshGeometry(mesh.nodes, mesh.tets)
+            # omega is the (M, 6) view of one C-contiguous (6, M) array, a row of M per local edge
+            assert geo.omega.T.shape == (6, mesh.n_tets) and geo.omega.T.flags.c_contiguous
+            for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
+                assert np.array_equal(ours, old)
+
+
+def test_geometry_keeps_no_gradients_and_a_small_heap_peak():
+    # at n = 32 whole-mesh (3, 4, M) corners or (4, 3, M) gradients take 18 MiB each (a
+    # whole-mesh pass peaked at 39 MiB of heap); the blocks keep 1.5 MiB each of volumes and
+    # diameters on the heap, omega in its own mapping, and temporaries of about 0.4 MiB
+    mesh = build_box_mesh(32)
+    tracemalloc.start()
+    try:
+        geo = _MeshGeometry(mesh.nodes, mesh.tets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [getattr(geo, name) for name in geo.__slots__]
+    assert sorted(a.shape for a in arrays) == [(mesh.n_tets,), (mesh.n_tets,), (mesh.n_tets, 6)]
+    assert peak < (8 << 20)
+
+
+def test_degenerate_tet_is_named_by_its_global_index():
+    # three tets inverted in the second and third blocks: the first is named, all are counted
+    base = build_box_mesh(12)
+    assert base.n_tets > 2 * mesh_module._BLOCK
+    tets = base.tets.copy()
+    bad = [mesh_module._BLOCK + 904, 2 * mesh_module._BLOCK + 10, base.n_tets - 1]
+    tets[bad, 1], tets[bad, 2] = tets[bad, 2], tets[bad, 1]
+    mesh = BoxMesh(base.nodes, tets, base.boundary)
+    volume = base.geometry.volumes[bad[0]]
+    message = f"tet {bad[0]} has nonpositive volume {-volume:g} (3 offending tets in total)"
+    with pytest.raises(DegenerateTetError, match=f"^{re.escape(message)}$"):
+        mesh.geometry
 
 
 def test_geometry_is_read_only():
     # every assembly reads these arrays; a write would change every later system
     geo = jittered_box().geometry
     arrays = [getattr(geo, name) for name in geo.__slots__] + [geo.omega.T]
-    assert len(arrays) == 6
+    assert len(arrays) == 4
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -91,7 +129,7 @@ def test_kuhn_path_tet_geometry():
     nodes = np.array([[0, 0, 0], [h, 0, 0], [h, h, 0], [h, h, h]], dtype=float)
     m = BoxMesh.from_cells(nodes, [[0, 1, 2, 3]])
     g = m.geometry
-    volume, grad_lambda, omega = g.volumes[0], g.grad_lambda[0], g.omega[0]
+    volume, grad_lambda, omega = g.volumes[0], element_major_geometry(m)[1][0], g.omega[0]
     assert volume == pytest.approx(h**3 / 6.0, rel=1e-14)
     assert np.allclose(grad_lambda[0], [-1.0 / h, 0.0, 0.0], atol=1e-13)
     # omega is -volume * (grad mu . grad nu), exactly
@@ -104,7 +142,7 @@ def test_stiffness_row_sums_from_omega():
     # summing -omega over the edges at a vertex gives minus the diagonal
     m = build_box_mesh(2, (0, 0, 0), (1, 2, 1))
     g = m.geometry
-    volume, grad_lambda, omega = g.volumes[5], g.grad_lambda[5], g.omega[5]
+    volume, grad_lambda, omega = g.volumes[5], element_major_geometry(m)[1][5], g.omega[5]
     for v in range(4):
         diag = volume * float(grad_lambda[v] @ grad_lambda[v])
         acc = 0.0
