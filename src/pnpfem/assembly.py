@@ -6,8 +6,8 @@ diagonal entry minus the rest of its column: the stiffness -sum omega_e per
 mesh edge, the concentration operators their transport (eafe on the pattern
 pruned of zero-weight edges).  Every system solved has identity rows on
 ``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
-Polynomial integrands are integrated in closed form; other fields are
-integrated from values the caller samples at ``quadrature_points``.
+Polynomial integrands are integrated in closed form; other fields from values
+sampled at ``quadrature_points``, by the caller or, per block, ``integrate_fields``.
 
 The three concentration operators share one entry point, ``assemble_np``,
 and the contract
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SparseMatrix
-from .mesh import LOCAL_EDGES, BoxMesh, _mapped_zeros
+from .mesh import _BLOCK, LOCAL_EDGES, BoxMesh, _mapped_zeros
 from .quadrature import rule_for_order
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "quadrature_points",
     "assemble_load",
     "element_integrals",
+    "integrate_fields",
     "bernoulli",
     "assemble_np",
     "stab_source_vector",
@@ -100,8 +101,8 @@ class _Workspace:
     Arrays that grow with M are ``_mapped_zeros`` arrays, filled in place.
     """
 
-    __slots__ = ("pattern", "edge_slots", "diag_slots", "ends", "weight", "upper", "lower",
-                 "stiffness_data", "lumped", "_edges", "_potential")
+    __slots__ = ("pattern", "edge_slots", "diag_slots", "fixed_slots", "ends", "weight", "upper",
+                 "lower", "stiffness_data", "lumped", "_edges", "_potential")
 
     def __init__(self, mesh: BoxMesh):
         geo, tets, n = mesh.geometry, mesh.tets, mesh.n_nodes
@@ -139,6 +140,7 @@ class _Workspace:
         self.edge_slots = np.stack((ahead, upper + lower - ahead),    # (nu, mu), (mu, nu)
                                    out=_mapped_zeros((2, *ahead.shape), np.int64))
         self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
+        self.fixed_slots = None  # slots of the boundary rows, found by _identity_rows
         self._edges = None  # the eafe _EdgeTable, built on first use
         self._potential = None  # potential_system(mesh), built on first use
 
@@ -166,7 +168,7 @@ class _EdgeTable:
     Edges, weights and slots are the workspace's, without the pruned edges.
     """
 
-    __slots__ = ("pattern", "a", "b", "weight", "slots", "diag_slots")
+    __slots__ = ("pattern", "a", "b", "weight", "slots", "diag_slots", "fixed_slots")
 
     def __init__(self, ws: _Workspace):
         full, kept = ws.pattern, ws.weight != 0.0
@@ -177,7 +179,7 @@ class _EdgeTable:
         self.pattern = SparseMatrix(full.n, kept_before[full.indptr], full.indices[keep],
                                     np.zeros(kept_before[-1]), _checked=True)
         (self.a, self.b), self.weight = (e[kept] for e in ws.ends), ws.weight[kept]
-        self.diag_slots = kept_before[ws.diag_slots]
+        self.diag_slots, self.fixed_slots = kept_before[ws.diag_slots], None
         self.slots = np.concatenate((kept_before[upper], kept_before[lower],
                                      self.diag_slots[self.a], self.diag_slots[self.b]))
 
@@ -309,10 +311,12 @@ def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
 
 
 def _identity_rows(space, boundary: np.ndarray, datas) -> None:
-    """Zero the ``boundary`` rows of each ``space.pattern`` data array, 1 on the diagonal."""
-    fixed, diag = boundary[space.pattern.rows()], space.diag_slots[boundary]
+    """Zero the mesh's ``boundary`` rows of each ``space.pattern`` data array, 1 on the diagonal."""
+    if space.fixed_slots is None:   # the rows' slots, found once per pattern
+        space.fixed_slots = np.flatnonzero(boundary[space.pattern.rows()])
+    diag = space.diag_slots[boundary]
     for data in datas:
-        data[fixed] = 0.0
+        data[space.fixed_slots] = 0.0
         data[diag] = 1.0
 
 
@@ -358,6 +362,23 @@ def element_integrals(mesh: BoxMesh, values, order: int = 2) -> np.ndarray:
     return mesh.geometry.volumes * (gvals @ wts)
 
 
+def integrate_fields(mesh: BoxMesh, fields, per_element: bool = False, order: int = 2):
+    """Loads (K, N) and, if ``per_element`` (else None), element integrals (K, M) of the K
+    fields ``fields(points)`` returns, called per block of ``_BLOCK`` elements at their points.
+    """
+    bary, wts = rule_for_order(order)
+    loads, per_tet = 0.0, []
+    for lo in range(0, mesh.n_tets, _BLOCK):
+        tets, vol = mesh.tets[lo:lo + _BLOCK], mesh.geometry.volumes[lo:lo + _BLOCK]
+        vals = np.asarray(fields((bary @ mesh.nodes[tets]).reshape(-1, 3)), dtype=float)
+        vals = vals.reshape(len(vals), len(tets), wts.size) * vol[:, None]       # (K, B, Q)
+        if per_element:
+            per_tet.append(vals @ wts)
+        local = (vals @ (wts[:, None] * bary)).reshape(len(vals), -1)              # (K, B * 4)
+        loads = loads + np.array([np.bincount(tets.ravel(), r, mesh.n_nodes) for r in local])
+    return loads, np.concatenate(per_tet, axis=1) if per_element else None
+
+
 def bernoulli(t):
     """Numerically stable B(t) = t / (exp(t) - 1).
 
@@ -366,16 +387,13 @@ def bernoulli(t):
     denominator would overflow.  Strictly positive and monotone decreasing.
     """
     arr = np.asarray(t, dtype=float)
-    out = np.empty_like(arr)
-    small = np.abs(arr) <= 1e-3
-    large = arr > 700.0
-    mid = ~small & ~large
-    ts = arr[small]
-    t2 = ts * ts
-    out[small] = 1.0 - ts / 2.0 + t2 / 12.0 - t2 * t2 / 720.0
-    out[mid] = arr[mid] / np.expm1(arr[mid])
-    tl = arr[large]
-    out[large] = tl * np.exp(-tl)
+    with np.errstate(all="ignore"):   # 0 / 0 and overflow: the series and tail entries follow
+        out = np.divide(arr, np.expm1(arr), out=np.empty_like(arr))
+        small, large = np.abs(arr) <= 1e-3, arr > 700.0
+        ts, tl = arr[small], arr[large]
+        t2 = ts * ts
+        out[small] = 1.0 - ts / 2.0 + t2 / 12.0 - t2 * t2 / 720.0
+        out[large] = tl * np.exp(-tl)
     if np.ndim(t) == 0:
         return float(out)
     return out

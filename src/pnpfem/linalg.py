@@ -134,9 +134,6 @@ class SparseMatrix:
         cols[place] = self.indices
         return cols.reshape(-1, self.n), place
 
-    def column_sums(self) -> np.ndarray:
-        return np.bincount(self.indices, weights=self.data, minlength=self.n)
-
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product y = A x on the padded row layout of ``a.ell()``.
@@ -341,29 +338,36 @@ class MMatrixReport:
         )
 
 
-def column_mmatrix_check(a: SparseMatrix, rel_tol: float = 1e-12) -> MMatrixReport:
+def column_mmatrix_check(a: SparseMatrix, rel_tol: float = 1e-12, keep=None) -> MMatrixReport:
     """Check the sufficient conditions for A to be a column M-matrix.
 
     Sign tests use an absolute tolerance of rel_tol times the largest entry
     magnitude, so exactly-cancelling column sums of assembled operators do
-    not trip the check through rounding noise.
+    not trip the check through rounding noise.  With a node mask ``keep``, the report of
+    ``interior_submatrix(a, keep)`` (its numbering), read in place: entries off that block are 0.
     """
-    scale = float(np.abs(a.data).max()) if a.nnz else 1.0
+    rows, cols, data = a.rows(), a.indices, a.data
+    kept, number = slice(None), np.arange(a.n)
+    if keep is not None:
+        kept = np.asarray(keep, dtype=bool)
+        if kept.shape != (a.n,):
+            raise ValueError("keep mask must have one flag per row")
+        block = a._cached(("keep", kept.tobytes()), lambda: kept[rows] & kept[cols])
+        data, number = np.where(block, data, 0.0), np.cumsum(kept) - 1   # x + 0.0 is x
+    diag = a.diagonal()[kept]
+    scale = max(float(data.max()), -float(data.min())) if a.nnz else 1.0
     tol = rel_tol * max(scale, 1e-300)
 
-    rows = a.rows()
-    on_diag = rows == a.indices
-    off_bad = np.flatnonzero(~on_diag & (a.data > tol))
-
-    diag = a.diagonal()
+    positive = np.flatnonzero(data > tol)
+    off_bad = positive[rows[positive] != cols[positive]]
     diag_bad = np.flatnonzero(diag <= tol)
     violations = np.column_stack((
-        np.concatenate((rows[off_bad], diag_bad)),
-        np.concatenate((a.indices[off_bad], diag_bad)),
-        np.concatenate((a.data[off_bad], diag[diag_bad])),
+        np.concatenate((number[rows[off_bad]], diag_bad)),
+        np.concatenate((number[cols[off_bad]], diag_bad)),
+        np.concatenate((data[off_bad], diag[diag_bad])),
     ))
 
-    colsum = a.column_sums()
+    colsum = np.bincount(cols, weights=data, minlength=a.n)[kept]
     col_bad = np.flatnonzero(colsum < -tol)
     column_violations = np.column_stack((col_bad, colsum[col_bad]))
 
@@ -393,4 +397,3 @@ def interior_submatrix(a: SparseMatrix, keep: np.ndarray) -> SparseMatrix:
     indptr = kept_before[a.indptr[np.append(np.flatnonzero(keep), a.n)]]
     return SparseMatrix(indptr.size - 1, indptr, new_index[a.indices[sel]], a.data[sel],
                         _checked=True)
-

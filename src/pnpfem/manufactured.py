@@ -108,24 +108,22 @@ def source_terms(x, t: float):
 
     Uses Lap(cos cos cos) = -3 pi^2 cos cos cos and the product rule
     div(v grad u) = grad v . grad u + v Lap u on the closed forms above.
-    Built, like the sources ``transient_problem`` binds, from ``_bind_sources``.
+    Built, like the sources of ``transient_problem``, as ``_coefficients(t) @ _fields(pts)``.
     """
     pts, single = _as_points(x)
-    values = _bind_sources(pts)(t)
+    values = _coefficients(t) @ _fields(pts)
     return tuple(float(v[0]) for v in values) if single else values
 
 
-def _bind_sources(pts):
-    """(F1, F2, F3) at (Q, 3) points as a function of t giving one (3, Q) array.
+def _fields(pts):
+    """The fields 1, c, c^2, |grad c|^2 at (Q, 3) points, one (4, Q) array.
 
-    Stacks 1, c, c^2, |grad c|^2 = pi^2 (c_y^2 c_z^2 + c_x^2 c_z^2 + c_x^2 c_y^2 - 3 c^2)
-    once from c_d = cos(pi x_d); a level is the (3, 4) ``_coefficients`` times them.
+    From c_d = cos(pi x_d): |grad c|^2 = pi^2 (c_y^2 c_z^2 + c_x^2 c_z^2 + c_x^2 c_y^2 - 3 c^2).
     """
     cos = np.cos(np.pi * pts.T)
     c = cos.prod(axis=0)
     x, y, z = np.square(cos, out=cos)
-    fields = np.stack((np.ones_like(c), c, c * c, np.pi**2 * (y * z + x * z + x * y - 3 * c * c)))
-    return lambda t: _coefficients(t) @ fields
+    return np.stack((np.ones_like(c), c, c * c, np.pi**2 * (y * z + x * z + x * y - 3 * c * c)))
 
 
 def _coefficients(t: float):
@@ -192,9 +190,10 @@ def transient_problem(T: float, tau: float, **overrides):
     """TransientConfig wired to the benchmark's data.
 
     Boundary data comes from the exact traces, sources from the derived
-    right-hand sides and both carriers start at zero.  Binding ``sources``
-    computes c, c^2 and |grad c|^2 once per point set, binding ``boundary`` c;
-    each level then costs only its time factors (one (3, Q) array of sources).
+    right-hand sides and both carriers start at zero.  ``sources`` is the
+    time-separable pair (``_coefficients``, ``_fields``): ``run_transient``
+    integrates the four fields once per run, and each level costs only the
+    (3, 4) time factors.  Binding ``boundary`` computes c once.
     """
     from .timestepper import TransientConfig
 
@@ -203,7 +202,7 @@ def transient_problem(T: float, tau: float, **overrides):
         tau=tau,
         initial=lambda pts: (np.zeros(len(pts)), np.zeros(len(pts))),
         boundary=lambda pts: _bind_boundary(_as_points(pts)[0]),
-        sources=lambda pts: _bind_sources(_as_points(pts)[0]),
+        sources=(_coefficients, lambda pts: _fields(_as_points(pts)[0])),
     )
     kwargs.update(overrides)
     return TransientConfig(**kwargs)

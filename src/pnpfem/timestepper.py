@@ -1,8 +1,8 @@
 """Implicit (backward-Euler) transient driver with positivity diagnostics.
 
 Every step freezes the time level, evaluates the data once at the new time
-(each of the ``sources`` and ``boundary`` functions bound at the start of
-the run), assembles the three loads, forms the concentration right-hand sides
+(the boundary function bound and the source fields integrated once per run,
+the latter weighted by the time coefficients), forms the right-hand sides
 
     F = tau * load + mass * previous_concentrations
 
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import assembly
 from .gummel import GummelReport, State, StepProblem, gummel_solve, solve_potential
-from .linalg import NonConvergenceError, column_mmatrix_check, interior_submatrix
-from .linalg import solve_spd, spmv  # unused here; bench/tracing.py wraps these names
+from .linalg import NonConvergenceError, column_mmatrix_check
+from .linalg import interior_submatrix, solve_spd, spmv  # unused; bench/tracing.py wraps them
 
 __all__ = [
     "TransientConfig",
@@ -52,20 +52,20 @@ __all__ = [
 class TransientConfig:
     """Time horizon, step size and the problem data, one callable per kind.
 
-    ``initial(points)`` returns the starting concentrations (p1, p2);
-    ``boundary(points)`` and ``sources(points)`` return functions of t giving
-    the Dirichlet data (u, p1, p2) and the right-hand sides (f, F1, F2), three
-    (Q,) fields or one (3, Q) array (used without a copy) for points (Q, 3):
-    the nodes, the boundary nodes and ``assembly.quadrature_points``.
-    ``run_transient`` binds both once per run (time-free work belongs there),
-    calls them at t = 0 and once per step and solves for the initial potential.
+    ``initial(points)`` returns the starting concentrations (p1, p2), ``boundary(points)``
+    a function of t giving the Dirichlet data (u, p1, p2), three (Q,) fields for points
+    (Q, 3), and ``sources`` = (coefficients, fields) the right-hand sides (f, F1, F2) =
+    ``coefficients(t)`` (3, K) @ ``fields(points)`` (K, Q).  ``run_transient`` binds
+    ``boundary`` to the boundary nodes and integrates ``fields`` once per run
+    (``assembly.integrate_fields``), calls ``boundary`` and ``coefficients`` at t = 0
+    and once per step and solves for the initial potential.
     """
 
     T: float
     tau: float
     initial: Callable[[np.ndarray], tuple]
     boundary: Callable[[np.ndarray], Callable[[float], tuple]]
-    sources: Callable[[np.ndarray], Callable[[float], tuple]]
+    sources: tuple[Callable[[float], np.ndarray], Callable[[np.ndarray], np.ndarray]]
     eps: float = 1e-6
     max_iter: int = 500
 
@@ -154,7 +154,7 @@ def _boundary_values(mesh, boundary_at, t: float) -> np.ndarray:
 
 
 def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
-    """March the coupled system from t = 0 to t = T.
+    """March the coupled system from t = 0 to t = T, the source fields integrated once.
 
     Returns the full history; a failed step (no convergence, or a failed
     linear solve as the cause) aborts with its index and the partial history.
@@ -163,7 +163,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     cfg = scheme_cfg
     tc = transient_cfg
     mass = assembly.lumped_volumes(mesh) / 4.0
-    sources_at = tc.sources(assembly.quadrature_points(mesh))
+    coefficients, fields = tc.sources
+    field_loads, field_ints = assembly.integrate_fields(mesh, fields, cfg.scheme == "supg")
     boundary_at = tc.boundary(mesh.nodes[mesh.boundary])
     p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
     state = State(np.zeros(mesh.n_nodes), p1, p2, 0.0)
@@ -172,21 +173,20 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     step, where = 0, "initial potential (t = 0)"
     try:
         state.phi = solve_potential(
-            mesh, cfg, assembly.assemble_load(mesh, sources_at(0.0)[0]),
+            mesh, cfg, np.asarray(coefficients(0.0), dtype=float)[0] @ field_loads,
             _boundary_values(mesh, boundary_at, 0.0)[0], (p1, p2), state.phi,
         )
         for step in range(tc.n_steps):
             t_next = min((step + 1) * tc.tau, tc.T)
             where = f"step {step} (t = {t_next:g})"
             tau_n = t_next - t
-            sources = np.asarray(sources_at(t_next), dtype=float)           # (3, M*Q)
-            loads = assembly.assemble_load(mesh, sources)                     # f, F1, F2
+            coef = np.asarray(coefficients(t_next), dtype=float)             # (3, K)
+            loads = coef @ field_loads                                         # f, F1, F2
             f_np = tau_n * loads[1:] + mass * state.concentrations()
             stab_int = None
             if cfg.scheme == "supg":   # int_K (p^n_h + tau F); int_K psi_j = vol / 4
                 p_int = 0.25 * mesh.geometry.volumes * state.concentrations()[:, mesh.tets].sum(-1)
-                stab_int = p_int + tau_n * assembly.element_integrals(mesh, sources[1:])
-            del sources  # free the (3, M*Q) samples before the sweeps
+                stab_int = p_int + tau_n * (coef[1:] @ field_ints)
             problem = StepProblem(mesh, cfg, tau_n, t_next, g_phi=loads[0], f_np=f_np,
                                   bc=_boundary_values(mesh, boundary_at, t_next),
                                   p_tau_f_elem_int=stab_int)
@@ -233,7 +233,7 @@ def _diagnose(
     c_j, _, tau_star = bound_constants(
         f_int, assembly.lumped_volumes(mesh)[interior], g_int, max(floor, 1e-12)
     )
-    verdicts = [column_mmatrix_check(interior_submatrix(system.matrix, interior)).verdict
+    verdicts = [column_mmatrix_check(system.matrix, keep=interior).verdict
                 for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n)]
     return DiagnosticsRecord(
         step=step,

@@ -24,7 +24,11 @@ operator, and ``unconstrained`` the mesh whose operators have none.
 code paths must decline, and ``five_tet_cube`` a hand-built ``from_cells``
 mesh.  ``oracle_sources`` keeps the manufactured sources as the package
 formerly evaluated them, one named physical term per full-length array, and
-``einsum_quadrature_points`` the former einsum form of the quadrature points.
+``einsum_quadrature_points`` the former einsum form of the quadrature points;
+``sampled_sources`` samples a time-separable ``sources`` pair at points, the
+values the package formerly bound per run and assembled per level.
+``masked_bernoulli`` keeps the former ``bernoulli``, which evaluated each
+branch on its own entries only.
 ``gradient_form_np`` keeps the former fem/supg element pass, from grad(phi_h)
 over the (4, 3, M) gradients, as the reference for the edge-weight form, and
 ``stored_gradient_error_norms`` the former ``error_norms``, which read the
@@ -476,3 +480,27 @@ def einsum_quadrature_points(mesh, order=2):
     """Points of the degree-``order`` rule, (M*Q, 3), element by element."""
     pts, _ = rule_for_order(order)
     return np.einsum("qk,mkd->mqd", pts, mesh.nodes[mesh.tets]).reshape(-1, 3)
+
+
+def sampled_sources(sources, pts, t):
+    """(3, Q) right-hand sides of a (coefficients, fields) ``sources`` pair at (Q, 3) points."""
+    coefficients, fields = sources
+    return np.asarray(coefficients(t), dtype=float) @ np.asarray(fields(pts), dtype=float)
+
+
+def masked_bernoulli(t):
+    """B(t) = t / (exp(t) - 1) with each branch evaluated on its entries only."""
+    arr = np.asarray(t, dtype=float)
+    out = np.empty_like(arr)
+    small = np.abs(arr) <= 1e-3
+    large = arr > 700.0
+    mid = ~small & ~large
+    ts = arr[small]
+    t2 = ts * ts
+    out[small] = 1.0 - ts / 2.0 + t2 / 12.0 - t2 * t2 / 720.0
+    out[mid] = arr[mid] / np.expm1(arr[mid])
+    tl = arr[large]
+    out[large] = tl * np.exp(-tl)
+    if np.ndim(t) == 0:
+        return float(out)
+    return out

@@ -244,6 +244,7 @@ def test_criterion_6_positivity_scenario():
     assert quality.nonnegative and quality.tet_has_positive_edge
     interior = ~mesh.boundary
     zero = lambda pts: lambda t: np.zeros((3, len(pts)))
+    no_sources = (lambda t: np.zeros((3, 1)), lambda pts: np.zeros((1, len(pts))))
     rng = np.random.default_rng(99)
     tau = 1e-3
     ok = True
@@ -253,7 +254,7 @@ def test_criterion_6_positivity_scenario():
         tc = TransientConfig(
             T=50 * tau, tau=tau,
             initial=lambda pts, v=vals: v,
-            boundary=zero, sources=zero,
+            boundary=zero, sources=no_sources,
         )
         result = run_transient(mesh, scheme_config("eafe"), tc)
         assert len(result.reports) == 50

@@ -16,11 +16,13 @@ from pnpfem.assembly import (
     assemble_stiffness,
     bernoulli,
     element_integrals,
+    integrate_fields,
     lumped_volumes,
     quadrature_points,
     stab_source_vector,
 )
 from pnpfem.linalg import solve_general, spmv
+from pnpfem.manufactured import transient_problem
 from pnpfem.mesh import LOCAL_EDGES, BoxMesh, DegenerateTetError, _mapped_zeros, build_box_mesh
 from pnpfem.quadrature import TET4, grundmann_moeller, rule_for_order
 
@@ -200,6 +202,26 @@ def test_stacked_fields_integrate_as_single_fields(order):
         assert np.array_equal(integrals[i], element_integrals(mesh, fields[i], order))
 
 
+@pytest.mark.parametrize("block", [None, 7])
+def test_integrated_fields_fold_the_sampled_loads(monkeypatch, block):
+    # the source fields integrated once, weighted by a level's coefficients,
+    # are the loads and supg element integrals of the sources sampled at that
+    # level; 7 divides neither 162 nor the jittered box's elements
+    if block is not None:
+        monkeypatch.setattr(assembly, "_BLOCK", block)
+    coefficients, fields = transient_problem(T=0.25, tau=0.01).sources
+    for mesh in (build_box_mesh(3, (-0.5,) * 3, (0.5,) * 3), jittered_box()):
+        field_loads, field_ints = integrate_fields(mesh, fields, per_element=True)
+        assert integrate_fields(mesh, fields)[1] is None
+        assert field_loads.shape == (4, mesh.n_nodes) and field_ints.shape == (4, mesh.n_tets)
+        values = fields(quadrature_points(mesh))
+        for t in (0.0, 0.1, 0.25):
+            c = coefficients(t)
+            for got, want in ((c @ field_loads, assemble_load(mesh, c @ values)),
+                              (c[1:] @ field_ints, element_integrals(mesh, c[1:] @ values))):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("make", [lambda: build_box_mesh(3), jittered_box],
                          ids=["kuhn", "jittered"])
 @pytest.mark.parametrize("order", [2, 8, 17])
@@ -265,6 +287,21 @@ def test_bernoulli_monotone_positive_overflow_safe():
     assert (np.diff(vals) < 0).all()
     assert (vals > 0.0).all()
     assert np.isfinite(bernoulli(1e6))
+
+
+def test_bernoulli_matches_masked_form_bit_for_bit():
+    # the whole-array quotient overwritten on the series and tail entries is the
+    # former per-branch evaluation, at the cut points, next to them and beyond
+    cuts = np.array([0.0, 1e-3, -1e-3, 700.0])
+    ts = np.concatenate((cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+                         np.linspace(-800.0, 800.0, 4001), np.geomspace(1e-10, 1e4, 400),
+                         -np.geomspace(1e-10, 1e4, 400), [-1e6, 705.0, 710.0, 750.0, 1e6]))
+    with np.errstate(all="raise"):
+        got = bernoulli(ts)
+        scalars = [bernoulli(t) for t in cuts]
+    assert np.array_equal(got, oracles.masked_bernoulli(ts))
+    assert bernoulli(ts.reshape(2, -1)).shape == (2, ts.size // 2)
+    assert all(type(b) is float and b == oracles.masked_bernoulli(t) for b, t in zip(scalars, cuts))
 
 
 # The eafe edge coefficient is the inverse mean of exp along the edge,
@@ -466,7 +503,7 @@ def test_transport_column_sums_zero(scheme):
             cfg = SchemeConfig(scheme=scheme, drift=drift)
             for sys_ in assemble_np(unconstrained(mesh), phi, cfg, tau):
                 transport_cols = (
-                    sys_.matrix.column_sums() - lumped_volumes(mesh) / 4.0
+                    to_dense(sys_.matrix).sum(axis=0) - lumped_volumes(mesh) / 4.0
                 ) / tau
                 assert np.abs(transport_cols).max() < 1e-12
 

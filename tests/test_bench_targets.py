@@ -47,10 +47,10 @@ def test_tracer_sees_one_data_evaluation_per_level():
     assert tracing.installed_wrappers() == []
     assert len(result.reports) == 2
     spans = Counter(s.name for s in tracer.spans)
-    # t = 0 and two steps: one load call per level, one element-integral call
-    # per step.  The sources and the boundary data are bound once per run, so
-    # neither source_terms nor exact_eval is called.
-    assert (spans["assemble_load"], spans["element_integrals"]) == (3, 2)
+    # the source fields are integrated once per run, outside the traced load
+    # and element-integral functions, so no level calls them; the boundary
+    # data is bound once per run, so neither source_terms nor exact_eval is called
+    assert (spans["assemble_load"], spans["element_integrals"]) == (0, 0)
     assert (spans["source_terms"], spans["exact_eval"]) == (0, 0)
 
 

@@ -27,7 +27,7 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
 
     bc = np.zeros((3, mesh.n_nodes))
     bc[:, bmask] = tc.boundary(mesh.nodes[bmask])(t_next)
-    sources = np.asarray(tc.sources(assembly.quadrature_points(mesh))(t_next))
+    sources = oracles.sampled_sources(tc.sources, assembly.quadrature_points(mesh), t_next)
     g_phi, g1, g2 = assembly.assemble_load(mesh, sources)
     f_np = np.stack(
         (tau * g1 + ov / 4.0 * prev.p1, tau * g2 + ov / 4.0 * prev.p2)
@@ -53,7 +53,8 @@ def build_problem(mesh, scfg, tc, prev, t_next, tau):
 def zero_problem(mesh, scfg, tau):
     zero = lambda pts: lambda t: np.zeros((3, len(pts)))
     zero0 = lambda pts: np.zeros((2, len(pts)))
-    tc = transient_problem(T=tau, tau=tau, sources=zero, boundary=zero, initial=zero0)
+    no_sources = (lambda t: np.zeros((3, 1)), lambda pts: np.zeros((1, len(pts))))
+    tc = transient_problem(T=tau, tau=tau, sources=no_sources, boundary=zero, initial=zero0)
     n = mesh.n_nodes
     prev = State(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     return build_problem(mesh, scfg, tc, prev, tau, tau), prev
@@ -135,7 +136,7 @@ def test_iterates_match_dense_oracle_pipeline():
         # the problem so only the matrices and the sweep structure differ
         # (load assembly is oracle-verified separately)
         g_phi = problem.g_phi
-        sources = np.asarray(tc.sources(assembly.quadrature_points(mesh))(t_next))
+        sources = oracles.sampled_sources(tc.sources, assembly.quadrature_points(mesh), t_next)
         source_int = assembly.element_integrals(mesh, sources[1:])
 
         p_ref = [prev.p1.copy(), prev.p2.copy()]

@@ -18,7 +18,7 @@ from pnpfem.linalg import (
     solve_spd,
     spmv,
 )
-from pnpfem.manufactured import exact_eval
+from pnpfem.manufactured import exact_eval, scheme_config
 from pnpfem.mesh import build_box_mesh
 
 
@@ -324,6 +324,37 @@ def test_passing_check_implies_nonnegative_inverse():
         assert rep.verdict
         inv = np.linalg.inv(a)
         assert inv.min() >= -1e-10
+
+
+MMATRIX_FIELDS = ("offdiag_sign_ok", "column_weak_dominance_ok", "strict_column_exists",
+                  "violations", "column_violations")
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_masked_verdict_equals_submatrix_verdict(scheme):
+    # the masked check reads the full matrix; its report, violations in the
+    # block's numbering included, is the submatrix's field for field
+    rng = np.random.default_rng(11)
+    box = (-0.5,) * 3, (0.5,) * 3
+    for mesh in (build_box_mesh(4, *box), build_box_mesh(8, *box), jittered_box()):
+        n = mesh.n_nodes
+        masks = (~mesh.boundary, rng.random(n) < 0.7, rng.random(n) < 0.2,
+                 np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+        for size in (0.1, 5.0):
+            phi = size * rng.standard_normal(n)
+            for system in assemble_np(mesh, phi, scheme_config(scheme), 1.0 / 64):
+                a = system.matrix
+                for keep in masks:
+                    got = column_mmatrix_check(a, keep=keep)
+                    want = column_mmatrix_check(interior_submatrix(a, keep))
+                    for name in MMATRIX_FIELDS:
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                whole = column_mmatrix_check(a, keep=np.ones(n, dtype=bool))
+                for name in MMATRIX_FIELDS:   # keep=None is the whole matrix
+                    assert np.array_equal(getattr(column_mmatrix_check(a), name),
+                                          getattr(whole, name)), name
+    with pytest.raises(ValueError):
+        column_mmatrix_check(a, keep=np.ones(n + 1, dtype=bool))
 
 
 def test_interior_submatrix_values():

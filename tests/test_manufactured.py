@@ -88,9 +88,10 @@ def test_bound_data_equals_pointwise_reference():
     tc = transient_problem(T=0.25, tau=tau)
     qpts = assembly.quadrature_points(mesh)
     bpts = mesh.nodes[mesh.boundary]
-    sources_at, boundary_at = tc.sources(qpts), tc.boundary(bpts)
+    boundary_at = tc.boundary(bpts)
     for t in (0.0, tau, 0.37):
-        for staged, reference in zip(sources_at(t), source_terms(qpts, t)):
+        for staged, reference in zip(oracles.sampled_sources(tc.sources, qpts, t),
+                                     source_terms(qpts, t)):
             assert np.array_equal(staged, reference)
         for staged, field in zip(boundary_at(t), ("u", "p", "n")):
             assert np.array_equal(staged, exact_eval(field, bpts, t)[0])
@@ -99,10 +100,12 @@ def test_bound_data_equals_pointwise_reference():
 @pytest.mark.parametrize("t", [0.0, 1.0 / 256, 0.37, 3.0])
 def test_bound_sources_match_term_by_term_oracle(t):
     # the (3, 4) time factors on (1, c, c^2, |grad c|^2) against one array per
-    # physical term; the binding's |grad c|^2 uses sin^2 = 1 - cos^2, so bits differ
+    # physical term; the fields' |grad c|^2 uses sin^2 = 1 - cos^2, so bits differ
     pts = np.random.default_rng(5).uniform(-0.5, 0.5, (2000, 3))
     ref = oracles.oracle_sources(pts, t)
-    got = manufactured._bind_sources(pts)(t)
+    coefficients, fields = transient_problem(T=1.0, tau=0.1).sources
+    assert coefficients(t).shape == (3, 4) and fields(pts).shape == (4, len(pts))
+    got = coefficients(t) @ fields(pts)
     assert got.shape == (3, len(pts))
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 

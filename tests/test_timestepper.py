@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import jittered_box
+from oracles import jittered_box, sampled_sources
 from pnpfem import assembly, gummel, timestepper
 from pnpfem.linalg import NonConvergenceError, spmv
 from pnpfem.manufactured import scheme_config, source_terms, transient_problem
@@ -25,8 +25,11 @@ def zero_init(pts):
     return np.zeros((2, len(pts)))
 
 
+NO_SOURCES = (lambda t: np.zeros((3, 1)), lambda pts: np.zeros((1, len(pts))))
+
+
 def zero_config(T, tau, **kw):
-    kwargs = dict(T=T, tau=tau, initial=zero_init, boundary=zero_data, sources=zero_data)
+    kwargs = dict(T=T, tau=tau, initial=zero_init, boundary=zero_data, sources=NO_SOURCES)
     kwargs.update(kw)
     return TransientConfig(**kwargs)
 
@@ -40,35 +43,42 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("scheme", ["fem", "supg"])
-def test_data_evaluated_once_per_time_level(scheme):
-    # each binder once per run, to the quadrature points and the boundary
-    # nodes; each bound function once at t = 0 and once per step
+def test_data_evaluated_once_per_time_level(monkeypatch, scheme):
+    # the boundary binder once per run, to the boundary nodes, and its bound
+    # function once at t = 0 and once per step; the source coefficients once per
+    # level and the source fields once per run, block by block, at the
+    # quadrature points (patched blocks of 7 elements: 7 blocks of 48 tets)
+    monkeypatch.setattr(assembly, "_BLOCK", 7)
     mesh = build_box_mesh(2, *BOX)
     tc = transient_problem(T=0.03, tau=0.01)
-    binds = {"sources": [], "boundary": []}
-    calls = {"sources": [], "boundary": []}
+    coefficients, fields = tc.sources
+    binds, calls, field_points, coefficient_times = [], [], [], []
 
-    def counted(name, binder):
-        def bind(pts):
-            binds[name].append(pts)
-            at = binder(pts)
+    def bind(pts):
+        binds.append(pts)
+        at = transient_problem(T=0.03, tau=0.01).boundary(pts)
 
-            def bound(t):
-                calls[name].append(t)
-                return at(t)
-            return bound
-        return bind
+        def bound(t):
+            calls.append(t)
+            return at(t)
+        return bound
 
-    tc.sources = counted("sources", tc.sources)
-    tc.boundary = counted("boundary", tc.boundary)
+    def counted_coefficients(t):
+        coefficient_times.append(t)
+        return coefficients(t)
+
+    def counted_fields(pts):
+        field_points.append(pts)
+        return fields(pts)
+
+    tc.boundary, tc.sources = bind, (counted_coefficients, counted_fields)
     result = run_transient(mesh, scheme_config(scheme), tc)
     levels = [0.0] + result.times
     assert len(levels) == tc.n_steps + 1
-    assert [len(binds["sources"]), len(binds["boundary"])] == [1, 1]
-    assert np.array_equal(binds["sources"][0], assembly.quadrature_points(mesh))
-    assert np.array_equal(binds["boundary"][0], mesh.nodes[mesh.boundary])
-    assert calls["sources"] == levels
-    assert calls["boundary"] == levels
+    assert len(binds) == 1 and np.array_equal(binds[0], mesh.nodes[mesh.boundary])
+    assert calls == levels and coefficient_times == levels
+    assert [len(p) for p in field_points] == [7 * 4] * 6 + [6 * 4]
+    assert np.array_equal(np.concatenate(field_points), assembly.quadrature_points(mesh))
 
 
 def test_supg_step_integrates_previous_level_plus_tau_source(monkeypatch):
@@ -117,7 +127,8 @@ def test_f_vector_bookkeeping():
     tc = transient_problem(T=tau, tau=tau)
     rng = np.random.default_rng(0)
     p = rng.uniform(0.5, 1.0, mesh.n_nodes)
-    g = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(tau)[1])
+    g = assembly.assemble_load(mesh, sampled_sources(tc.sources, assembly.quadrature_points(mesh),
+                                                     tau)[1])
     m = assembly.lumped_volumes(mesh) / 4.0
     f = tau * g + m * p
     # construction is a pure sum of the two products, bit for bit
@@ -151,7 +162,8 @@ def test_single_step_solves_np_system():
     result = run_transient(mesh, scfg, tc)
     state = result.state
     system = assembly.assemble_np(mesh, state.phi, scfg, tau)[0]
-    g1 = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(tau)[1])
+    g1 = assembly.assemble_load(mesh, sampled_sources(tc.sources, assembly.quadrature_points(mesh),
+                                                      tau)[1])
     rhs = tau * g1  # previous concentrations are zero
     rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary])(tau)[1]
     res = np.linalg.norm(spmv(system.matrix, state.p1) - rhs)
@@ -169,7 +181,8 @@ def test_discrete_poisson_consistency_each_step():
     a_bc = assembly.potential_system(mesh)[0]
     state = result.state
     m = assembly.lumped_volumes(mesh) / 4.0
-    rhs = assembly.assemble_load(mesh, tc.sources(assembly.quadrature_points(mesh))(state.t)[0])
+    rhs = assembly.assemble_load(
+        mesh, sampled_sources(tc.sources, assembly.quadrature_points(mesh), state.t)[0])
     rhs += scfg.charges[0] * m * state.p1 + scfg.charges[1] * m * state.p2
     rhs[mesh.boundary] = tc.boundary(mesh.nodes[mesh.boundary])(state.t)[0]
     res = np.linalg.norm(spmv(a_bc, state.phi) - rhs)
