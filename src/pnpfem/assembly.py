@@ -1,10 +1,11 @@
 """Global operators for the coupled potential/concentration system.
 
-Matrices live on one sparsity pattern per mesh (node adjacency), built once
-from the mesh edges and cached.  Every operator is a sum of edge values, each
-diagonal entry minus the rest of its column: the stiffness -sum omega_e per
-mesh edge, the concentration operators their transport (eafe on the pattern
-pruned of zero-weight edges).  Every system solved has identity rows on
+Matrices live on one sparsity pattern per mesh (node adjacency), built once from the
+mesh edges by one sort and cached with the stiffness as its data (at n = 32 only its
+int32 element-edge slots, 9 MiB, have their own mapping).  Every operator is a sum of
+edge values, each diagonal entry minus the rest of its column: the stiffness -sum
+omega_e per mesh edge, the concentration operators their transport (eafe on the
+pattern pruned of zero-weight edges).  Every system solved has identity rows on
 ``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
 Polynomial integrands are integrated in closed form; other fields from values
 sampled at ``quadrature_points``, by the caller or, per block, ``integrate_fields``.
@@ -96,9 +97,10 @@ class _Workspace:
 
     Mesh edge k joins nodes ``ends[0][k] < ends[1][k]``, has slots ``upper[k]``
     and ``lower[k]`` for (a, b) and (b, a) and ``weight[k]``, the sum of omega
-    over its tets: the stiffness is -weight there, with zero column sums.
-    ``edge_slots`` (2, 6, M) holds per LOCAL_EDGES (nu, mu) the slots of (nu, mu), (mu, nu).
-    Arrays that grow with M are ``_mapped_zeros`` arrays, filled in place.
+    over its tets: the stiffness, the pattern's data, is -weight there, with zero column
+    sums.  ``edge_slots`` (2, 6, M), int32 below 2^31 entries, holds per LOCAL_EDGES
+    (nu, mu) the slots of (nu, mu), (mu, nu).  Arrays that grow with M are ``_mapped_zeros``
+    arrays, filled in place; at n = 32 only ``edge_slots`` (9 MiB) is mapped.
     """
 
     __slots__ = ("pattern", "edge_slots", "diag_slots", "fixed_slots", "ends", "weight", "upper",
@@ -106,11 +108,21 @@ class _Workspace:
 
     def __init__(self, mesh: BoxMesh):
         geo, tets, n = mesh.geometry, mesh.tets, mesh.n_nodes
-        first, second = (tets[:, list(e)] for e in zip(*LOCAL_EDGES))   # (M, 6), as omega
-        fwd = first < second
-        keys = np.where(fwd, first * n + second, second * n + first).ravel()
-        del first, second
-        keys, inverse = np.unique(keys, return_inverse=True)
+        self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
+        corners = np.ascontiguousarray(tets.T)                                     # (4, M)
+        inverse = np.empty((len(tets), 6), np.int64)   # (M, 6) as omega: edge keys, then edges
+        for e, (nu, mu) in enumerate(LOCAL_EDGES):
+            lo, hi = np.minimum(corners[nu], corners[mu]), np.maximum(corners[nu], corners[mu])
+            np.add(lo * n, hi, out=inverse[:, e])
+        del corners
+        flat = inverse.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        run = flat[order]                          # the sorted keys, then their edge numbers
+        new = np.concatenate(([True], run[1:] != run[:-1]))
+        keys, new[0] = run[new], False
+        run[:] = new                                   # counted in place: no int64 temporary
+        flat[order] = np.cumsum(run, out=run)
+        del order, run, new
         self.ends = a, b = np.divmod(keys, n, out=(_mapped_zeros(keys.shape, np.int64),
                                                   _mapped_zeros(keys.shape, np.int64)))
         degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
@@ -122,36 +134,36 @@ class _Workspace:
         slot = _mapped_zeros(order.shape, np.int64)
         slot[order] = np.arange(order.size)
         self.diag_slots, self.upper, self.lower = np.split(slot, (n, n + keys.size))
+        self.stiffness_data = data = _mapped_zeros(order.size)
         self.pattern = SparseMatrix(n, np.concatenate(([0], np.cumsum(degree + 1))),
                                     np.take(np.concatenate((nodes, b, a)), order,
                                             out=_mapped_zeros(order.shape, np.int64)),
-                                    _mapped_zeros(order.size), _checked=True)
+                                    data, _checked=True)
         del order, slot, keys
         self.weight = w = _mapped_zeros(a.size)
-        w[:] = np.bincount(inverse, weights=geo.omega.ravel(), minlength=a.size)
-        self.stiffness_data = data = _mapped_zeros(self.pattern.nnz)
+        w[:] = np.bincount(flat, weights=geo.omega.ravel(), minlength=a.size)    # tet-major sums
         data[self.upper] = data[self.lower] = -w
         data[self.diag_slots] = np.bincount(a, w, n) + np.bincount(b, w, n)   # zero column sums
         # (nu, mu) of a tet is its edge's (a, b) where tets[nu] < tets[mu], else (b, a)
-        inverse = np.ascontiguousarray(inverse.reshape(-1, 6).T)                  # (6, M)
-        upper, lower = self.upper[inverse], self.lower[inverse]
-        del inverse
-        ahead = np.where(fwd.T, upper, lower)
-        self.edge_slots = np.stack((ahead, upper + lower - ahead),    # (nu, mu), (mu, nu)
-                                   out=_mapped_zeros((2, *ahead.shape), np.int64))
-        self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
+        self.edge_slots = slots = _mapped_zeros((2, 6, len(tets)),
+                                                np.int32 if data.size < 2**31 else np.int64)
+        for e, (nu, mu) in enumerate(LOCAL_EDGES):
+            upper, lower = self.upper[inverse[:, e]], self.lower[inverse[:, e]]
+            slots[0, e] = np.where(tets[:, nu] < tets[:, mu], upper, lower)
+            slots[1, e] = upper + lower - slots[0, e]                 # (nu, mu), (mu, nu)
         self.fixed_slots = None  # slots of the boundary rows, found by _identity_rows
         self._edges = None  # the eafe _EdgeTable, built on first use
         self._potential = None  # potential_system(mesh), built on first use
 
-    def from_edges(self, vals) -> np.ndarray:
-        """Data of (12, M) values on the ``_EDGE_ENDS`` slots; each column sums to 0.
+    def from_edges(self, vals, out=None) -> np.ndarray:
+        """Data of (12, M) values on the ``_EDGE_ENDS`` slots, in ``out`` if given.
 
-        (6, M) values of a symmetric term are summed once, on the (nu, mu) slots,
-        and each mesh edge's two slots get the sum of both.
+        Each column sums to 0.  (6, M) values of a symmetric term are summed once, on the
+        (nu, mu) slots, and each mesh edge's two slots get the sum of both.
         """
-        data = np.bincount(self.edge_slots[:len(vals) // 6].ravel(), vals.ravel(),
-                           minlength=self.pattern.nnz)
+        data = np.empty(self.pattern.nnz) if out is None else out
+        data.fill(0.0)
+        np.add.at(data, self.edge_slots[:len(vals) // 6].ravel(), vals.ravel())
         if len(vals) == 6:
             data[self.upper] += data[self.lower]
             data[self.lower] = data[self.upper]
@@ -427,7 +439,7 @@ def stab_source_vector(mesh: BoxMesh, assembled: AssembledNP, elem_int: np.ndarr
 
 
 def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
-                tau: float) -> list[AssembledNP]:
+                tau: float, buffers: dict | None = None) -> list[AssembledNP]:
     """Both species' systems, lumped mass + tau * transport(phi), in cfg.drift order.
 
     The species differ only through their drift c, so the phi-dependent work
@@ -443,7 +455,9 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
     w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
     edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The
     mass stays lumped: positive off-diagonal entries of a consistent mass would
-    break the eafe column M-matrix property.
+    break the eafe column M-matrix property.  With ``buffers``, a dict a run keeps, supg
+    writes its (k, M) and nnz-sized arrays, the returned ones too, into arrays mapped there
+    on first use, which the next call overwrites: its sweeps then take no fresh pages.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mesh.n_nodes,):
@@ -457,32 +471,48 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
             ws._edges = _EdgeTable(ws)
         space = ws._edges
         datas = [tau * t for t in space.transport(phi, cfg.drift)]
-    else:
+    elif cfg.scheme == "fem":
         space, geo = ws, mesh.geometry
-        dphi = _INCIDENCE @ phi[mesh.tets.T]                 # (6, M): phi_nu - phi_mu
-        base = tau * ws.stiffness_data
-        if cfg.scheme == "fem":
-            dphi *= geo.omega.T                # w = omega dphi, in place: one (6, M) array fewer
-            conv = ws.from_edges((0.25 * tau * _AT_ROWS) @ dphi)
-            datas = [base + c * conv for c in cfg.drift]
-        else:
-            w = geo.omega.T * dphi                               # vol_K d = D^T w
-            speed = np.sqrt(np.maximum(np.einsum("em,em->m", w, dphi), 0.0) / geo.volumes)
-            vd, vd_row = _INCIDENCE.T @ w, _AT_ROWS @ w     # vol_K d_i at corners, at row corners
-            del dphi, w
-            vv, h_k, terms, datas = vd_row[:6] * vd_row[6:], geo.diameters, {}, []
-            vv /= geo.volumes                                             # vol_K d_nu d_mu
-            for m in {abs(c) for c in cfg.drift}:       # c_K and the stream term need only |c|
-                cs = m * speed                                             # |c grad(phi)| per tet
-                c_k = np.where(0.5 * h_k * cs >= 1.0,                      # cell Peclet number
-                               cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
-                               cfg.supg_scale * h_k * h_k / 4.0)
-                terms[m] = (c_k, ws.from_edges(vd_row * (0.25 * (tau - c_k))),
-                            ws.from_edges(vv * ((tau * m * m) * c_k)))
+        dphi = _INCIDENCE @ phi[mesh.tets.T]                     # (6, M): phi_nu - phi_mu
+        dphi *= geo.omega.T                    # w = omega dphi, in place: one (6, M) array fewer
+        conv = ws.from_edges((0.25 * tau * _AT_ROWS) @ dphi)
+        datas = [tau * ws.stiffness_data + c * conv for c in cfg.drift]
+    else:
+        def keep(name, shape):   # buffers[name], mapped on first use; without buffers, new
+            if buffers is None:
+                return np.empty(shape)
+            if name not in buffers:
+                buffers[name] = _mapped_zeros(shape, least=0)
+            return buffers[name]
+
+        space, geo, six, nnz = ws, mesh.geometry, (6, mesh.n_tets), ws.pattern.nnz
+        dphi = np.matmul(_INCIDENCE, phi[mesh.tets.T], out=keep("dphi", six))
+        w = np.multiply(geo.omega.T, dphi, out=keep("w", six))           # vol_K d = D^T w
+        speed = np.sqrt(np.maximum(np.einsum("em,em->m", w, dphi), 0.0) / geo.volumes)
+        vd = np.matmul(_INCIDENCE.T, w, out=keep("vd", (4, mesh.n_tets)))      # vol_K d_i
+        vd_row = np.take(vd, _EDGE_ENDS[0], axis=0, mode="clip",   # "raise" writes via a copy
+                         out=keep("vd_row", (12, mesh.n_tets)))          # at the row corners
+        vv = np.multiply(vd_row[:6], vd_row[6:], out=dphi)
+        vv /= geo.volumes                                                 # vol_K d_nu d_mu
+        base = np.multiply(ws.stiffness_data, tau, out=keep("base", nnz))
+        h_k, datas = geo.diameters, [keep(i, nnz) for i in range(2)]
+        for k, m in enumerate({abs(c) for c in cfg.drift}):   # c_K, stream term: only |c|
+            cs = m * speed                                                 # |c grad(phi)| per tet
+            c_k = np.where(0.5 * h_k * cs >= 1.0,                          # cell Peclet number
+                           cfg.supg_scale * h_k / (2.0 * np.where(cs > 0.0, cs, 1.0)),
+                           cfg.supg_scale * h_k * h_k / 4.0)
+            if k:                                      # vd_row was scaled for the first |c|
+                np.take(vd, _EDGE_ENDS[0], axis=0, mode="clip", out=vd_row)
+            rows = ws.from_edges(np.multiply(vd_row, 0.25 * (tau - c_k), out=vd_row),
+                                 keep("rows", nnz))
+            stream = ws.from_edges(np.multiply(vv, (tau * m * m) * c_k, out=w),
+                                   keep("stream", nnz))
             for i, c in enumerate(cfg.drift):
-                c_k, rows, stream = terms[abs(c)]
-                stab_w[i] = (-c * c_k / geo.volumes * vd).T                # w_K.grad(psi_i)
-                datas.append(base + c * rows + stream)
+                if abs(c) == m:
+                    stab_w[i] = np.multiply(-c * c_k / geo.volumes, vd,    # w_K.grad(psi_i)
+                                            out=keep(("stab", i), vd.shape)).T
+                    np.add(np.multiply(rows, c, out=datas[i]), base, out=datas[i])
+                    datas[i] += stream
     for data in datas:
         data[space.diag_slots] += ws.lumped / 4.0
     _identity_rows(space, mesh.boundary, datas)

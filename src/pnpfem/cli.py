@@ -9,9 +9,9 @@ Subcommands:
   mesh       write the mesh in plain text
 
 Every CSV ends with a '# config-hash <hex>' trailer; identical
-configurations produce byte-identical files at a fixed BLAS thread count
-(the DST potential solve multiplies through BLAS).  Exit codes: 0 success,
-2 configuration error, 3 solver non-convergence, 4 I/O error.
+configurations produce byte-identical files at a fixed BLAS thread count (the
+solvers' dot products and norms run through BLAS, which threads long vectors).
+Exit codes: 0 success, 2 configuration error, 3 solver non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -107,6 +107,7 @@ class StepProblem:
     f_np: np.ndarray                      # (2, N) concentration right-hand sides
     bc: np.ndarray                        # (3, N) boundary values (u, p1, p2) at the new level
     p_tau_f_elem_int: np.ndarray | None = None  # (2, M) int_K (p^n + tau F), supg only
+    buffers: dict | None = None           # assemble_np's arrays, kept by the run between sweeps
 
 
 def _impose(values: np.ndarray, mask: np.ndarray, bc: np.ndarray) -> np.ndarray:
@@ -167,7 +168,8 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
 
     p_new = []
     precond = assembly.concentration_preconditioner(mesh, phi_new, cfg, problem.tau)
-    for i, system in enumerate(assembly.assemble_np(mesh, phi_new, cfg, problem.tau)):
+    systems = assembly.assemble_np(mesh, phi_new, cfg, problem.tau, problem.buffers)
+    for i, system in enumerate(systems):
         rhs_i = problem.f_np[i]
         if system.stab_grad_weights is not None:
             rhs_i = rhs_i + assembly.stab_source_vector(mesh, system, problem.p_tau_f_elem_int[i])

@@ -40,16 +40,17 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _BLOCK = 4096  # elements per block of the geometry and error-norm passes
 
 
-def _mapped_zeros(shape, dtype=float) -> np.ndarray:
-    """Zeros for an array kept as long as its mesh: its own memory mapping from 8 MiB.
+def _mapped_zeros(shape, dtype=float, least=8 << 20) -> np.ndarray:
+    """Zeros for an array kept as long as its mesh: its own memory mapping from ``least`` bytes.
 
     Left on the malloc heap, such arrays sit in the holes of the set-up temporaries, so where
     later large arrays fit, and the peak memory, would depend on the meshes before.  Smaller
     ones stay there: fresh pages cost more set-up time than their holes cost memory.  At
-    n = 32 only omega and the workspace's edge_slots are mapped, 27 MiB together.
+    n = 32 only omega and the workspace's int32 edge_slots are mapped, 9 MiB each; a run's
+    supg ``assemble_np`` buffers are mapped at any size (``least=0``).
     """
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if size < (8 << 20):
+    if size < least:
         return np.zeros(shape, dtype)
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype).reshape(shape)
@@ -211,14 +212,10 @@ def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:
     bx, by, bz = np.meshgrid(on_face, on_face, on_face, indexing="ij")
     boundary = (bx | by | bz).ravel()
 
-    cells = np.stack(
-        np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 3)                               # (n^3, 3) cell origins
-    # corner lattice coordinates: (n^3, 6, 4, 3) -> node ids
-    corner_ijk = cells[:, None, None, :] + _KUHN_CORNERS[None, :, :, :]
-    ids = np.add((corner_ijk[..., 0] * m + corner_ijk[..., 1]) * m, corner_ijk[..., 2],
-                 out=_mapped_zeros(corner_ijk.shape[:-1], np.int64))
+    # node ids: each cell's origin id plus the (6, 4) id offsets of its Kuhn corners
+    origin = (np.arange(n)[:, None, None] * m + np.arange(n)[:, None]) * m + np.arange(n)
+    ids = np.add(origin.reshape(-1, 1, 1), _KUHN_CORNERS @ [m * m, m, 1],
+                 out=_mapped_zeros((n**3, 6, 4), np.int64))
     tets = ids.reshape(-1, 4)
 
     return BoxMesh(nodes, tets, boundary)

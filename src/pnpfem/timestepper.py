@@ -168,7 +168,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     boundary_at = tc.boundary(mesh.nodes[mesh.boundary])
     p1, p2 = (np.asarray(c, dtype=float) for c in tc.initial(mesh.nodes))
     state = State(np.zeros(mesh.n_nodes), p1, p2, 0.0)
-    result = TransientResult(state=state)
+    result, buffers = TransientResult(state=state), {}   # buffers: the sweeps' assemble_np arrays
     t = 0.0
     step, where = 0, "initial potential (t = 0)"
     try:
@@ -189,7 +189,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
                 stab_int = p_int + tau_n * (coef[1:] @ field_ints)
             problem = StepProblem(mesh, cfg, tau_n, t_next, g_phi=loads[0], f_np=f_np,
                                   bc=_boundary_values(mesh, boundary_at, t_next),
-                                  p_tau_f_elem_int=stab_int)
+                                  p_tau_f_elem_int=stab_int, buffers=buffers)
             new_state, report = gummel_solve(problem, state, tc.eps, tc.max_iter)
             if report.converged:
                 # refresh the potential against the accepted concentrations so
@@ -210,7 +210,8 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
             if not mesh.boundary.all():
                 result.diagnostics.append(
-                    _diagnose(mesh, cfg, step, t_next, tau_n, state, new_state, f_np, loads[1:])
+                    _diagnose(mesh, cfg, step, t_next, tau_n, state, new_state, f_np, loads[1:],
+                              buffers)
                 )
             state = new_state
             result.state = state
@@ -222,7 +223,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
 
 
 def _diagnose(
-    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g_np
+    mesh, cfg, step, t_next, tau_n, old_state, new_state, f_np, g_np, buffers
 ) -> DiagnosticsRecord:
     interior = ~mesh.boundary
     f_int = f_np[:, interior].ravel()
@@ -234,7 +235,7 @@ def _diagnose(
         f_int, assembly.lumped_volumes(mesh)[interior], g_int, max(floor, 1e-12)
     )
     verdicts = [column_mmatrix_check(system.matrix, keep=interior).verdict
-                for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n)]
+                for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n, buffers)]
     return DiagnosticsRecord(
         step=step,
         t=t_next,

@@ -29,6 +29,9 @@ formerly evaluated them, one named physical term per full-length array, and
 values the package formerly bound per run and assembled per level.
 ``masked_bernoulli`` keeps the former ``bernoulli``, which evaluated each
 branch on its own entries only.
+``kuhn_box_tets`` keeps the former corner ids of ``build_box_mesh``, from
+(n^3, 6, 4, 3) corner lattice coordinates, as the reference for the ids
+built from cell origins and id offsets.
 ``gradient_form_np`` keeps the former fem/supg element pass, from grad(phi_h)
 over the (4, 3, M) gradients, as the reference for the edge-weight form, and
 ``stored_gradient_error_norms`` the former ``error_norms``, which read the
@@ -43,7 +46,7 @@ from pnpfem import assembly
 from pnpfem.assembly import AssembledNP, bernoulli
 from pnpfem.linalg import SparseMatrix
 from pnpfem.manufactured import C_DRIFT, exact_eval
-from pnpfem.mesh import _BLOCK, BoxMesh, build_box_mesh
+from pnpfem.mesh import _BLOCK, _KUHN_CORNERS, BoxMesh, build_box_mesh
 from pnpfem.quadrature import rule_for_order
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -432,6 +435,15 @@ def jittered_box(n=3, seed=0, amplitude=0.2):
     rng = np.random.default_rng(seed)
     nodes[inner] += rng.uniform(-amplitude, amplitude, (inner.sum(), 3)) / n
     return BoxMesh.from_cells(nodes, base.tets, base.boundary)
+
+
+def kuhn_box_tets(n):
+    """(6 n^3, 4) corner ids of the Kuhn box, from every corner's lattice coordinates."""
+    m = n + 1
+    cells = np.stack(np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    corner_ijk = cells[:, None, None, :] + _KUHN_CORNERS[None, :, :, :]    # (n^3, 6, 4, 3)
+    return ((corner_ijk[..., 0] * m + corner_ijk[..., 1]) * m + corner_ijk[..., 2]).reshape(-1, 4)
 
 
 def five_tet_cube():

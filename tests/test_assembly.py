@@ -711,12 +711,31 @@ def test_workspace_setup_holds_no_slot_table():
     assert all(x is y for x, y in zip(held_arrays(ws), held))
 
 
+def renumbered_box(n=4, seed=3):
+    """The Kuhn box with its nodes numbered in a random order."""
+    base, new = build_box_mesh(n), np.random.default_rng(seed).permutation((n + 1) ** 3)
+    nodes, boundary = np.empty_like(base.nodes), np.empty_like(base.boundary)
+    nodes[new], boundary[new] = base.nodes, base.boundary    # node i is now node new[i]
+    return BoxMesh.from_cells(nodes, new[base.tets], boundary)
+
+
+def shuffled_cells(seed=4):
+    """The jittered box with its tets in a random order, corners cycled by even permutations."""
+    base, rng = jittered_box(), np.random.default_rng(seed)
+    cycles = np.array([[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3]])[rng.integers(3, size=base.n_tets)]
+    tets = np.take_along_axis(base.tets, cycles, axis=1)[rng.permutation(base.n_tets)]
+    return BoxMesh.from_cells(base.nodes, tets, base.boundary)
+
+
 SETUP_MESHES = {
     "kuhn4": lambda: build_box_mesh(4),
     "kuhn8": lambda: build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3),
     "kuhn32": lambda: build_box_mesh(32),   # arrays of 8 MiB and more: _mapped_zeros
     "jittered": jittered_box,
     "cube5": oracles.five_tet_cube,
+    # node and element orders unlike the lattice's: the edge sort must not depend on it
+    "renumbered": renumbered_box,
+    "shuffled": shuffled_cells,
 }
 
 
@@ -750,9 +769,22 @@ def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
     mesh = jittered_box()
     ws = assembly._workspace(mesh)
     vals = np.random.default_rng(6).uniform(-1.0, 1.0, (6, mesh.n_tets))
-    once, twice = ws.from_edges(vals), ws.from_edges(np.concatenate((vals, vals)))
+    twelve = np.concatenate((vals, vals))
+    once, twice = ws.from_edges(vals), ws.from_edges(twelve)
     assert np.array_equal(once[ws.upper], once[ws.lower])
     assert np.abs(once - twice).max() <= 1e-14 * np.abs(twice).max()
+    # the scatter into 32-bit slots sums each slot in the order np.bincount does
+    summed = np.bincount(ws.edge_slots.ravel(), twelve.ravel(), ws.pattern.nnz)
+    off = ws.pattern.rows() != ws.pattern.indices
+    assert ws.edge_slots.dtype == np.int32 and np.array_equal(twice[off], summed[off])
+
+
+def test_row_corner_gather_matches_the_row_product_bit_for_bit():
+    # supg gathers vol_K d at the 12 row corners from the (4, M) corner product; the (12, 6)
+    # product it replaced gave the same bits, on which byte-identical histories rest
+    w = np.random.default_rng(9).standard_normal((6, 5000)) * np.logspace(-6, 6, 5000)
+    at_corners = assembly._INCIDENCE.T @ w
+    assert np.array_equal(at_corners[assembly._EDGE_ENDS[0]], assembly._AT_ROWS @ w)
 
 
 def _memory_owner(a):
@@ -785,14 +817,58 @@ def test_large_mesh_arrays_stay_off_the_malloc_heap():
     geo = mesh.geometry
     mapped = (geo.omega, ws.edge_slots)
     assert all(isinstance(_memory_owner(a), mmap.mmap) for a in mapped)
+    assert ws.edge_slots.dtype == np.int32 and ws.pattern.data is ws.stiffness_data
     kept = (mesh.nodes, mesh.tets, mesh.boundary, geo.volumes, geo.diameters, *ws.ends,
-            ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.pattern.data,
-            ws.weight, ws.stiffness_data, ws.lumped)
+            ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.weight,
+            ws.stiffness_data, ws.lumped)
     assert all(_memory_owner(a) is None for a in kept)
     assert on_heap < sum(a.nbytes for a in kept) + (1 << 20)
     volumes, _, omega, diam = oracles.element_major_geometry(mesh)
     for ours, old in ((geo.volumes, volumes), (geo.omega, omega), (geo.diameters, diam)):
         assert np.array_equal(ours, old) and not ours.flags.writeable
+
+
+def test_workspace_setup_heap_peak_is_bounded():
+    # at n = 8 no array is mapped, so tracemalloc sees the set-up's whole heap peak: the (M, 6)
+    # int64 edge keys, the sort's order and sorted keys, and what the workspace keeps, 5.5 times
+    # 6 M * 8 bytes; np.unique and (6, M) int64 slot temporaries took it to 9.3 times
+    mesh = build_box_mesh(8)
+    mesh.geometry
+    tracemalloc.start()
+    try:
+        assembly._Workspace(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * (6 * mesh.n_tets * 8)
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_sweep_buffers_change_no_bit_and_keep_the_large_arrays(scheme):
+    # a run passes one dict to every sweep: supg writes its (k, M) and nnz-sized arrays, the
+    # returned ones too, into its arrays, each its own mapping off the heap; fem and eafe do not
+    mesh, rng, buffers = build_box_mesh(8), np.random.default_rng(8), {}
+    for drift in ((0.7, -0.7), (0.7, -1.9), (1.9, 1.9)):
+        cfg = SchemeConfig(scheme=scheme, drift=drift)
+        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        for fresh, kept in zip(assemble_np(mesh, phi, cfg, 0.01),
+                               assemble_np(mesh, phi, cfg, 0.01, buffers)):
+            assert np.array_equal(fresh.matrix.data, kept.matrix.data)
+            if scheme == "supg":
+                assert np.array_equal(fresh.stab_grad_weights, kept.stab_grad_weights)
+    assert (scheme == "supg") == bool(buffers)
+    assert all(isinstance(_memory_owner(a), mmap.mmap) for a in buffers.values())
+    held = dict(buffers)
+    tracemalloc.start()
+    try:
+        systems = assemble_np(mesh, phi, cfg, 0.01, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buffers.keys() == held.keys() and all(buffers[k] is a for k, a in held.items())
+    if scheme == "supg":   # left on the heap: phi at the corners and (M,) arrays
+        assert peak < 1.5 * (6 * mesh.n_tets * 8)
+        assert all(s.matrix.data is buffers[i] for i, s in enumerate(systems))
 
 
 def test_grid_solver_found_on_kuhn_boxes_after_edge_setup():

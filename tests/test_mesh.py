@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import element_major_geometry, five_tet_cube, jittered_box
+from oracles import element_major_geometry, five_tet_cube, jittered_box, kuhn_box_tets
 from pnpfem import mesh as mesh_module
 from pnpfem.mesh import (
     LOCAL_EDGES,
@@ -96,6 +96,21 @@ def test_geometry_keeps_no_gradients_and_a_small_heap_peak():
     arrays = [getattr(geo, name) for name in geo.__slots__]
     assert sorted(a.shape for a in arrays) == [(mesh.n_tets,), (mesh.n_tets,), (mesh.n_tets, 6)]
     assert peak < (8 << 20)
+
+
+def test_box_mesh_ids_match_the_corner_coordinate_oracle_with_a_small_heap_peak():
+    # ids are cell origin ids plus (6, 4) id offsets; (n^3, 6, 4, 3) corner coordinates would
+    # take 18 MiB at n = 32 (that build peaked at 34 MB of heap), the ids 6 MiB
+    for n in (1, 2, 5):
+        assert np.array_equal(build_box_mesh(n).tets, kuhn_box_tets(n))
+    tracemalloc.start()
+    try:
+        mesh = build_box_mesh(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mesh.tets, kuhn_box_tets(32))
+    assert peak < 2 * mesh.tets.nbytes
 
 
 def test_degenerate_tet_is_named_by_its_global_index():
