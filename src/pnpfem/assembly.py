@@ -1,12 +1,12 @@
 """Global operators for the coupled potential/concentration system.
 
-Matrices live on one sparsity pattern per mesh (node adjacency), built once from the
-mesh edges by one sort and cached with the stiffness as its data (at n = 32 only its
-int32 element-edge slots, 9 MiB, have their own mapping).  Every operator is a sum of
-edge values, each diagonal entry minus the rest of its column: the stiffness -sum
-omega_e per mesh edge, the concentration operators their transport (eafe on the
-pattern pruned of zero-weight edges).  Every system solved has identity rows on
-``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
+fem and supg live on one sparsity pattern per mesh (node adjacency), built once from the
+mesh edges by one sort with the stiffness as its data (at n = 32 only its int32 element-edge
+slots, 9 MiB, have their own mapping); the potential operator and eafe on it pruned of the
+zero-weight edges (``_EdgeTable``, built on first use).  Every operator is a sum of edge
+values, each diagonal entry minus the rest of its column: the stiffness -sum omega_e per
+mesh edge, the concentration operators their transport.  Every system solved has identity
+rows on ``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
 Polynomial integrands are integrated in closed form; other fields from values
 sampled at ``quadrature_points``, by the caller or, per block, ``integrate_fields``.
 
@@ -59,7 +59,6 @@ SCHEMES = ("fem", "supg", "eafe")
 _EDGE_ENDS = np.array(LOCAL_EDGES + tuple(e[::-1] for e in LOCAL_EDGES)).T
 #: (6, 4) signed incidence D of LOCAL_EDGES, +1 at nu and -1 at mu: S_K = D^T diag(omega_K) D.
 _INCIDENCE = np.eye(4)[_EDGE_ENDS[0, :6]] - np.eye(4)[_EDGE_ENDS[1, :6]]
-_AT_ROWS = _INCIDENCE.T[_EDGE_ENDS[0]]          # (12, 6): the row of D^T at each row corner
 
 
 @dataclass
@@ -104,7 +103,7 @@ class _Workspace:
     """
 
     __slots__ = ("pattern", "edge_slots", "diag_slots", "fixed_slots", "ends", "weight", "upper",
-                 "lower", "stiffness_data", "lumped", "_edges", "_potential")
+                 "lower", "lumped", "_edges", "_potential")
 
     def __init__(self, mesh: BoxMesh):
         geo, tets, n = mesh.geometry, mesh.tets, mesh.n_nodes
@@ -134,11 +133,11 @@ class _Workspace:
         slot = _mapped_zeros(order.shape, np.int64)
         slot[order] = np.arange(order.size)
         self.diag_slots, self.upper, self.lower = np.split(slot, (n, n + keys.size))
-        self.stiffness_data = data = _mapped_zeros(order.size)
+        data = _mapped_zeros(order.size)
         self.pattern = SparseMatrix(n, np.concatenate(([0], np.cumsum(degree + 1))),
-                                    np.take(np.concatenate((nodes, b, a)), order,
+                                    np.take(np.concatenate((nodes, b, a)), order, mode="clip",
                                             out=_mapped_zeros(order.shape, np.int64)),
-                                    data, _checked=True)
+                                    data, _checked=True)   # np.take "raise" writes via a copy
         del order, slot, keys
         self.weight = w = _mapped_zeros(a.size)
         w[:] = np.bincount(flat, weights=geo.omega.ravel(), minlength=a.size)    # tet-major sums
@@ -152,7 +151,7 @@ class _Workspace:
             slots[0, e] = np.where(tets[:, nu] < tets[:, mu], upper, lower)
             slots[1, e] = upper + lower - slots[0, e]                 # (nu, mu), (mu, nu)
         self.fixed_slots = None  # slots of the boundary rows, found by _identity_rows
-        self._edges = None  # the eafe _EdgeTable, built on first use
+        self._edges = None  # the _EdgeTable, built on first use by _edge_table
         self._potential = None  # potential_system(mesh), built on first use
 
     def from_edges(self, vals, out=None) -> np.ndarray:
@@ -172,15 +171,16 @@ class _Workspace:
 
 
 class _EdgeTable:
-    """Mesh edges of nonzero weight and their slots in the pruned pattern.
+    """Mesh edges of nonzero weight and their slots in the weighted-edge pattern.
 
     An edge's weight, the sum of omega = -vol * grad(lambda_a) . grad(lambda_b)
-    over its tets, is minus its stiffness entry.  Edges of weight exactly zero
-    couple nothing in the eafe operator and are pruned; negative ones stay.
-    Edges, weights and slots are the workspace's, without the pruned edges.
+    over its tets, is minus its stiffness entry.  Edges of weight exactly zero couple
+    nothing and are pruned; negative ones stay.  Edges, weights, slots and the pattern's
+    data, the stiffness, are the workspace's without them.  The potential operator and
+    eafe share the pattern, its padded-row layout and ``fixed_slots``.
     """
 
-    __slots__ = ("pattern", "a", "b", "weight", "slots", "diag_slots", "fixed_slots")
+    __slots__ = ("pattern", "a", "b", "weight", "upper", "lower", "diag_slots", "fixed_slots")
 
     def __init__(self, ws: _Workspace):
         full, kept = ws.pattern, ws.weight != 0.0
@@ -189,36 +189,37 @@ class _EdgeTable:
         keep[ws.diag_slots] = keep[upper] = keep[lower] = True
         kept_before = np.concatenate(([0], np.cumsum(keep)))   # = new slot of a kept entry
         self.pattern = SparseMatrix(full.n, kept_before[full.indptr], full.indices[keep],
-                                    np.zeros(kept_before[-1]), _checked=True)
+                                    full.data[keep], _checked=True)
         (self.a, self.b), self.weight = (e[kept] for e in ws.ends), ws.weight[kept]
+        self.upper, self.lower = kept_before[upper], kept_before[lower]
         self.diag_slots, self.fixed_slots = kept_before[ws.diag_slots], None
-        self.slots = np.concatenate((kept_before[upper], kept_before[lower],
-                                     self.diag_slots[self.a], self.diag_slots[self.b]))
 
     def transport(self, phi: np.ndarray, drift) -> list[np.ndarray]:
         """Per c in ``drift``, entry (a, b) is -weight * B(c (phi_a - phi_b)).
 
-        Each edge puts minus its entries on the diagonal of their columns, so
-        columns sum to 0 as in ``_Workspace.from_edges``.  B(-|t|) = B(|t|) + |t|
+        Entries go straight into their slots; one bincount over (a, b) puts minus them on the
+        diagonal, so columns sum to 0 as in ``_Workspace.from_edges``.  B(-|t|) = B(|t|) + |t|
         saves the second Bernoulli evaluation and, unlike B(t) - t, does not
         cancel: at t = -30 that would keep about 3 digits.  Both depend on c only
         through |c|, so ``bernoulli`` runs once per distinct |c|; for c_2 = -c_1
         the forward and backward weights swap.
         """
-        dphi, out = phi[self.a] - phi[self.b], []
+        dphi, ends, out = phi[self.a] - phi[self.b], np.concatenate((self.a, self.b)), []
         t_abs = {m: m * np.abs(dphi) for m in {abs(c) for c in drift}}
         b_pos = {m: bernoulli(t) for m, t in t_abs.items()}
         for c in drift:
             b_neg, ahead = b_pos[abs(c)] + t_abs[abs(c)], c * dphi >= 0.0
             w_fwd = self.weight * np.where(ahead, b_pos[abs(c)], b_neg)   # weight * B(t)
             w_bwd = self.weight * np.where(ahead, b_neg, b_pos[abs(c)])   # weight * B(-t)
-            vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
-            out.append(np.bincount(self.slots, weights=vals, minlength=self.pattern.nnz))
+            data = np.zeros(self.pattern.nnz)
+            data[self.upper], data[self.lower] = -w_fwd, -w_bwd
+            data[self.diag_slots] = np.bincount(ends, np.concatenate((w_bwd, w_fwd)), len(phi))
+            out.append(data)
         return out
 
 
 class _GridSolver:
-    """Exact solve with the interior stiffness block of a tensor-grid box.
+    """Exact solve with the interior stiffness block of a ``build_box_mesh`` box.
 
     The orthonormal DST-I along each axis diagonalises that block, the separable
     7-point stencil: 2(a_x + a_y + a_z) on the diagonal, -a_d one lattice step
@@ -250,45 +251,40 @@ def _workspace(mesh: BoxMesh) -> _Workspace:
     return mesh._workspace
 
 
-def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
-    """The _GridSolver of the interior block of ``a``, or None.
+def _edge_table(ws: _Workspace) -> _EdgeTable:
+    if ws._edges is None:
+        ws._edges = _EdgeTable(ws)
+    return ws._edges
 
-    Node k is lattice point unravel_index(k, m), m the distinct coordinates per
-    axis; ``boundary`` must be the lattice's outer shell and each stored
-    interior entry of ``a`` the stencil, to 1e-12 of the largest such entry.
-    Between interior nodes the column offset cols - rows names the lattice
-    step: 0, +-m_1 m_2, +-m_2 and +-1 are the centre and the steps along x, y, z.
+
+def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
+    """The _GridSolver of the interior block of ``a`` on a ``build_box_mesh`` lattice, or None.
+
+    Node k is lattice point unravel_index(k, (m, m, m)), m = ``mesh._lattice``, and ``boundary``
+    its shell; a_d is minus the entry of row (1, 1, 1) at column offset m^2, m or 1, one step
+    along x, y, z.  No other entry is read: CG verifies the true residual of every solve.
     """
-    m = np.array([np.unique(mesh.nodes[:, d]).size for d in range(3)])
-    if m.prod() != mesh.n_nodes or m.min() < 3:
+    if (m := mesh._lattice) is None or m < 3:   # unset on meshes not built by build_box_mesh
         return None
-    shell = np.pad(np.zeros(m - 2, dtype=bool), 1, constant_values=True).ravel()
-    if not np.array_equal(mesh.boundary, shell):
-        return None
-    steps, r = (m[1] * m[2], m[2], 1), (m[1] + 1) * m[2] + 1      # r: row of node (1, 1, 1)
+    r = (m + 1) * m + 1                                              # row of node (1, 1, 1)
     row = slice(a.indptr[r], a.indptr[r + 1])
-    coupling = np.array([-a.data[row][a.indices[row] - r == s].sum() for s in steps])
-    rows = a.rows()
-    inner = ~(shell[rows] | shell[a.indices])
-    off, vals = np.abs(a.indices[inner] - rows[inner]), a.data[inner]
-    dev = np.select([off == 0] + [off == s for s in steps], [2 * coupling.sum(), *-coupling])
-    dev -= vals
-    if max(dev.max(), -dev.min()) > 1e-12 * np.abs(vals).max():
-        return None
-    return _GridSolver(np.flatnonzero(~shell), tuple(m - 2), coupling)
+    coupling = np.array([-a.data[row][a.indices[row] - r == s].sum() for s in (m * m, m, 1)])
+    return _GridSolver(np.flatnonzero(~mesh.boundary), (m - 2,) * 3, coupling)
 
 
 def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
     """The potential operator of ``mesh`` and its exact solver, built once.
 
-    Returns the stiffness with identity rows on ``mesh.boundary`` and, on a
-    tensor-grid box, the DST-I solver of its interior block (None elsewhere).
+    Returns the stiffness on the pattern of ``_EdgeTable`` with identity rows on
+    ``mesh.boundary`` and, on a ``build_box_mesh`` lattice, the DST-I solver of its
+    interior block (None elsewhere).
     Built once per mesh, with read-only arrays; every potential solve uses it.
     """
     ws = _workspace(mesh)
     if ws._potential is None:
-        a = assemble_stiffness(mesh)
-        _identity_rows(ws, mesh.boundary, [a.data])
+        edges = _edge_table(ws)
+        a = edges.pattern.with_data(edges.pattern.data.copy())
+        _identity_rows(edges, mesh.boundary, [a.data])
         ws._potential = (a, _grid_solver(mesh, a))
         for array in (a.data, a.indptr, a.indices):
             array.flags.writeable = False
@@ -319,7 +315,7 @@ def concentration_preconditioner(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConf
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
     """Stiffness matrix of the potential equation: symmetric, zero row sums, no boundary rows."""
     ws = _workspace(mesh)
-    return ws.pattern.with_data(ws.stiffness_data.copy())
+    return ws.pattern.with_data(ws.pattern.data.copy())
 
 
 def _identity_rows(space, boundary: np.ndarray, datas) -> None:
@@ -448,12 +444,12 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
     (nu, mu), and ``from_edges`` sets each diagonal entry to zero its column.
     With dphi = D phi_K and w = omega dphi, vol_K d = D^T w and vol_K |grad
     phi_h|^2 = sum_e w_e dphi_e, clamped at 0.  Entry (nu, mu) gets c r_nu,
-    r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem, whose r at the 12 row corners
-    is one product with w): tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
+    r = (tau - c_K) vol_K d / 4 (c_K = 0 for fem), gathered at the 12 row corners from
+    D^T w: tau c C(phi) plus supg's time rows.  supg adds the symmetric streamline
     term tau c^2 c_K vol_K d_nu d_mu (summed once per element edge, put on both
     slots), with c_K, r and it once per distinct |c|, and returns
     w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
-    edge-averaged operator on the pruned pattern of ``_EdgeTable``.  The
+    edge-averaged operator on the weighted-edge pattern of ``_EdgeTable``.  The
     mass stays lumped: positive off-diagonal entries of a consistent mass would
     break the eafe column M-matrix property.  With ``buffers``, a dict a run keeps, supg
     writes its (k, M) and nnz-sized arrays, the returned ones too, into arrays mapped there
@@ -467,16 +463,14 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
     ws = _workspace(mesh)
     stab_w = [None, None]
     if cfg.scheme == "eafe":
-        if ws._edges is None:
-            ws._edges = _EdgeTable(ws)
-        space = ws._edges
+        space = _edge_table(ws)
         datas = [tau * t for t in space.transport(phi, cfg.drift)]
     elif cfg.scheme == "fem":
         space, geo = ws, mesh.geometry
         dphi = _INCIDENCE @ phi[mesh.tets.T]                     # (6, M): phi_nu - phi_mu
         dphi *= geo.omega.T                    # w = omega dphi, in place: one (6, M) array fewer
-        conv = ws.from_edges((0.25 * tau * _AT_ROWS) @ dphi)
-        datas = [tau * ws.stiffness_data + c * conv for c in cfg.drift]
+        conv = ws.from_edges(np.take((0.25 * tau * _INCIDENCE.T) @ dphi, _EDGE_ENDS[0], axis=0))
+        datas = [tau * ws.pattern.data + c * conv for c in cfg.drift]
     else:
         def keep(name, shape):   # buffers[name], mapped on first use; without buffers, new
             if buffers is None:
@@ -494,7 +488,7 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
                          out=keep("vd_row", (12, mesh.n_tets)))          # at the row corners
         vv = np.multiply(vd_row[:6], vd_row[6:], out=dphi)
         vv /= geo.volumes                                                 # vol_K d_nu d_mu
-        base = np.multiply(ws.stiffness_data, tau, out=keep("base", nnz))
+        base = np.multiply(ws.pattern.data, tau, out=keep("base", nnz))
         h_k, datas = geo.diameters, [keep(i, nnz) for i in range(2)]
         for k, m in enumerate({abs(c) for c in cfg.drift}):   # c_K, stream term: only |c|
             cs = m * speed                                                 # |c grad(phi)| per tet

@@ -130,11 +130,11 @@ def solve_potential(
 ) -> np.ndarray:
     """Potential for the frozen concentration pair ``p``.
 
-    Solves the mesh's ``assembly.potential_system`` matrix (stiffness with
-    identity boundary rows) against load + sum_i z_i * mass * p_i, mass the
-    lumped volumes / 4, by CG, which verifies the residual, from ``bc`` on the
+    Solves the mesh's ``assembly.potential_system`` matrix (stiffness on the
+    weighted edges with identity boundary rows) against load + sum_i z_i * mass * p_i,
+    mass the lumped volumes / 4, by CG, which verifies the residual, from ``bc`` on the
     boundary and inside from the exact DST solve of the interior block on a
-    tensor-grid box (0 CG iterations), else from ``guess``.  Every potential
+    ``build_box_mesh`` box (0 CG iterations), else from ``guess``.  Every potential
     solve of a run, sweeps and refreshes alike, goes through here.
     """
     bmask = mesh.boundary

@@ -138,6 +138,7 @@ class BoxMesh:
 
         self._geometry: _MeshGeometry | None = None
         self._workspace = None  # assembly pattern cache, set by pnpfem.assembly
+        self._lattice = None  # nodes per axis, set by build_box_mesh alone
 
         for arr in (self.nodes, self.tets, self.boundary):
             arr.setflags(write=False)
@@ -191,7 +192,7 @@ def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:
 
     Nodes are numbered lexicographically in (x, y, z); each cell contributes
     its six Kuhn tetrahedra in a fixed permutation order, so repeated calls
-    produce identical meshes.
+    produce identical meshes.  The mesh records m = n + 1 as ``_lattice``.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -218,7 +219,9 @@ def build_box_mesh(n: int, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoxMesh:
                  out=_mapped_zeros((n**3, 6, 4), np.int64))
     tets = ids.reshape(-1, 4)
 
-    return BoxMesh(nodes, tets, boundary)
+    mesh = BoxMesh(nodes, tets, boundary)
+    mesh._lattice = m
+    return mesh
 
 
 @dataclass

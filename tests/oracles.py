@@ -17,7 +17,9 @@ package's ``bernoulli``) as a reference for the per-edge assembly.
 ``transpose_edge_table`` keep the package's former per-mesh set-up (einsum
 and cross-product geometry, a pattern from 16 keys per element with the
 stiffness scattered from (M, 4, 4) element matrices, and eafe's pruning by a
-transpose map) as references for the set-up built from mesh edges.
+transpose map) as references for the set-up built from mesh edges, and
+``slot_sum_transport`` eafe's former transport, one bincount over 4E slots, as the
+reference for the values written straight into their slots.
 ``dirichlet_rows`` is the reference for the identity boundary rows of every
 operator, and ``unconstrained`` the mesh whose operators have none.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
@@ -282,7 +284,7 @@ def slot_table_workspace(mesh):
 
 
 def transpose_edge_table(pattern, diag_slots, edge_slots, stiffness_data):
-    """eafe's (pruned pattern, a, b, weight, slots, diag_slots), edges from the stiffness.
+    """eafe's (pruned pattern, a, b, weight, upper, lower, diag_slots), edges from the stiffness.
 
     Edges are the upper entries of nonzero stiffness, weight minus that entry;
     the lower slots come from a transpose map of the full pattern.
@@ -298,10 +300,26 @@ def transpose_edge_table(pattern, diag_slots, edge_slots, stiffness_data):
     pruned = SparseMatrix(pattern.n, kept_before[pattern.indptr], pattern.indices[keep],
                           np.zeros(kept_before[-1]))
     a, b = rows[upper], pattern.indices[upper]
-    new_diag = kept_before[diag_slots]
-    slots = np.concatenate((kept_before[upper], kept_before[transpose[upper]],
-                            new_diag[a], new_diag[b]))
-    return pruned, a, b, -stiffness_data[upper], slots, new_diag
+    return (pruned, a, b, -stiffness_data[upper], kept_before[upper],
+            kept_before[transpose[upper]], kept_before[diag_slots])
+
+
+def slot_sum_transport(edges, phi, drift):
+    """eafe's transport data per c in ``drift`` from one bincount over 4E slots, the upper,
+    lower and the two diagonal slots of each ``_EdgeTable`` edge, as the package formerly
+    summed it (with its Bernoulli values, B(-|t|) = B(|t|) + |t|)."""
+    slots = np.concatenate((edges.upper, edges.lower,
+                            edges.diag_slots[edges.a], edges.diag_slots[edges.b]))
+    dphi, out = phi[edges.a] - phi[edges.b], []
+    for c in drift:
+        t = abs(c) * np.abs(dphi)
+        b_pos, ahead = bernoulli(t), c * dphi >= 0.0
+        b_neg = b_pos + t
+        w_fwd = edges.weight * np.where(ahead, b_pos, b_neg)
+        w_bwd = edges.weight * np.where(ahead, b_neg, b_pos)
+        vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
+        out.append(np.bincount(slots, weights=vals, minlength=edges.pattern.nnz))
+    return out
 
 
 def gradient_form_np(mesh, phi, cfg, tau):
@@ -320,7 +338,7 @@ def gradient_form_np(mesh, phi, cfg, tau):
     gphi = p[0] * g[0] + p[1] * g[1] + p[2] * g[2] + p[3] * g[3]    # (3, M)
     d = gphi[0] * g[:, 0] + gphi[1] * g[:, 1] + gphi[2] * g[:, 2]   # (4, M)
     d_row, quarter_vol = d[ends[0]], 0.25 * geo.volumes
-    base, datas, stab_w = tau * ws.stiffness_data, [], [None, None]
+    base, datas, stab_w = tau * ws.pattern.data, [], [None, None]
     if cfg.scheme == "fem":
         conv = ws.from_edges(tau * quarter_vol * d_row)
         datas = [base + c * conv for c in cfg.drift]

@@ -558,10 +558,17 @@ def all_boundary_box(n=3):
     return BoxMesh.from_cells(base.nodes, base.tets)
 
 
+def rebuilt_box(n=4):
+    """A Kuhn box rebuilt from its own arrays: the same mesh, but no recorded lattice."""
+    box = build_box_mesh(n)
+    return BoxMesh(box.nodes, box.tets, box.boundary)
+
+
 @pytest.mark.parametrize(
     "make",
-    [jittered_box, graded_box, renumbered_box, all_boundary_box, lambda: build_box_mesh(1)],
-    ids=["jittered", "graded", "renumbered", "all_boundary", "no_interior"],
+    [jittered_box, graded_box, renumbered_box, all_boundary_box, lambda: build_box_mesh(1),
+     rebuilt_box],
+    ids=["jittered", "graded", "renumbered", "all_boundary", "no_interior", "rebuilt"],
 )
 def test_grid_solver_declines_other_meshes(make):
     assert assembly.potential_system(make())[1] is None
@@ -582,12 +589,34 @@ def test_potential_system_is_built_once_per_mesh(make, on_grid):
     matrix, grid = system = assembly.potential_system(mesh)
     assert assembly.potential_system(mesh) is system
     assert (grid is not None) == on_grid
-    for name in ("indptr", "indices"):
-        assert np.array_equal(getattr(matrix, name), getattr(stiffness, name))
     expect = oracles.dirichlet_rows(to_dense(stiffness), mesh.boundary)
     assert np.array_equal(to_dense(matrix), expect)
     # building it leaves the workspace stiffness untouched
     assert np.array_equal(assemble_stiffness(mesh).data, stiffness.data)
+
+
+@pytest.mark.parametrize("make, nnz", [(lambda: build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3), None),
+                                       (lambda: build_box_mesh(16, (-0.5,) * 3, (0.5,) * 3),
+                                        (32657, 66961)),
+                                       (jittered_box, None)], ids=["kuhn8", "kuhn16", "jittered"])
+def test_potential_operator_on_weighted_edges_keeps_the_full_pattern_bits(make, nnz):
+    # the potential operator stores the diagonal and the edges of nonzero weight only, eafe's
+    # pattern; its products and diagonal are those of the full-pattern stiffness, bit for bit
+    mesh = make()
+    matrix, ws = assembly.potential_system(mesh)[0], assembly._workspace(mesh)
+    full = assemble_stiffness(mesh)
+    full.data[mesh.boundary[full.rows()]] = 0.0
+    full.data[ws.diag_slots[mesh.boundary]] = 1.0
+    assert matrix.indptr is ws._edges.pattern.indptr          # eafe's pattern and padded-row
+    assert matrix._derived is ws._edges.pattern._derived      # layout, not copies of them
+    assert matrix.nnz == mesh.n_nodes + 2 * np.count_nonzero(ws.weight) < full.nnz
+    if nnz is not None:
+        assert (matrix.nnz, full.nnz) == nnz
+    assert matrix.diagonal().tobytes() == full.diagonal().tobytes()
+    rng = np.random.default_rng(mesh.n_nodes)
+    for x in (rng.standard_normal(mesh.n_nodes), rng.uniform(-1.0, 1.0, mesh.n_nodes) * 1e6,
+              np.where(mesh.boundary, 0.0, rng.uniform(0.0, 1.0, mesh.n_nodes))):
+        assert spmv(matrix, x).tobytes() == spmv(full, x).tobytes()
 
 
 def test_potential_operator_is_read_only():
@@ -654,8 +683,9 @@ def test_preconditioned_and_jacobi_solves_meet_the_dense_solution(scheme):
 
 
 def held_arrays(ws):
-    return [a for a in (getattr(ws, name) for name in assembly._Workspace.__slots__)
-            if isinstance(a, np.ndarray)]
+    """The workspace's arrays by slot name."""
+    return {name: a for name in assembly._Workspace.__slots__
+            if isinstance(a := getattr(ws, name), np.ndarray)}
 
 
 @pytest.mark.parametrize("make", [lambda: build_box_mesh(2, (-0.5,) * 3, (0.5,) * 3),
@@ -665,7 +695,7 @@ def test_edge_slots_address_the_local_edges(make, scheme):
     mesh = make()
     ws = assembly._workspace(mesh)
     # set-up builds the edge slots from the mesh edges; no (M, 4, 4) slot table is kept
-    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws))
+    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws).values())
     slots = ws.edge_slots
     assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
     assert ws.edge_slots is slots
@@ -681,8 +711,7 @@ def test_eafe_lower_slots_are_the_transposes_of_the_upper():
     mesh = jittered_box()
     assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg("eafe", 0.7), 0.01)
     edges = assembly._workspace(mesh)._edges
-    pat, n_edges = edges.pattern, edges.a.size
-    upper, lower = edges.slots[:n_edges], edges.slots[n_edges:2 * n_edges]
+    pat, upper, lower = edges.pattern, edges.upper, edges.lower
     assert np.array_equal(pat.rows()[upper], edges.a)
     assert np.array_equal(pat.indices[upper], edges.b)
     for a, b, slot in zip(edges.a, edges.b, lower):   # (b, a), searched for in row b
@@ -694,21 +723,23 @@ def test_eafe_lower_slots_are_the_transposes_of_the_upper():
 def test_workspace_setup_holds_no_slot_table():
     mesh = build_box_mesh(3)
     assemble_stiffness(mesh)
+    assert assembly._workspace(mesh)._edges is None   # set-up builds no edge table
     assembly.potential_system(mesh)
     lumped_volumes(mesh)
     ws = assembly._workspace(mesh)
-    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws))
+    assert all(a.size != mesh.n_tets * 16 for a in held_arrays(ws).values())
     # the upper and lower slots of each mesh edge hold its (a, b) and (b, a)
     a, b = ws.ends
     assert np.all(a < b)
     for slots, rows, cols in ((ws.upper, a, b), (ws.lower, b, a)):
         assert np.array_equal(ws.pattern.rows()[slots], rows)
         assert np.array_equal(ws.pattern.indices[slots], cols)
-    # no assembly replaces the set-up's arrays
-    held = held_arrays(ws)
+    # no assembly replaces the set-up's arrays or the edge table (fixed_slots is set later)
+    held, edges = held_arrays(ws), ws._edges
     for scheme in ("fem", "supg", "eafe"):
         assemble_np(mesh, np.zeros(mesh.n_nodes), np_cfg(scheme, 0.7), 0.01)
-    assert all(x is y for x, y in zip(held_arrays(ws), held))
+    now = held_arrays(ws)
+    assert all(now[name] is a for name, a in held.items()) and ws._edges is edges
 
 
 def renumbered_box(n=4, seed=3):
@@ -749,20 +780,41 @@ def test_edge_setup_matches_slot_table_oracle(make):
     assert np.array_equal(ws.diag_slots, diag_slots)
     assert np.array_equal(ws.edge_slots, edge_slots)
     off = pattern.rows() != pattern.indices
-    assert np.array_equal(ws.stiffness_data[off], stiffness[off])
+    assert np.array_equal(ws.pattern.data[off], stiffness[off])
     # each diagonal entry is now minus the rest of its column: last bits only
-    assert np.abs(ws.stiffness_data - stiffness).max() <= 1e-15 * np.abs(stiffness).max()
+    assert np.abs(ws.pattern.data - stiffness).max() <= 1e-15 * np.abs(stiffness).max()
 
 
 @pytest.mark.parametrize("make", SETUP_MESHES.values(), ids=SETUP_MESHES.keys())
 def test_eafe_edge_table_matches_transpose_oracle(make):
     mesh = make()
     pruned, *expect = oracles.transpose_edge_table(*oracles.slot_table_workspace(mesh))
-    edges = assembly._EdgeTable(assembly._workspace(mesh))
+    ws = assembly._workspace(mesh)
+    edges = assembly._EdgeTable(ws)
     for name in ("indptr", "indices"):
         assert np.array_equal(getattr(edges.pattern, name), getattr(pruned, name))
-    for ours, old in zip((edges.a, edges.b, edges.weight, edges.slots, edges.diag_slots), expect):
+    for ours, old in zip((edges.a, edges.b, edges.weight, edges.upper, edges.lower,
+                          edges.diag_slots), expect):
         assert np.array_equal(ours, old)
+    # the pruned pattern's data is the workspace stiffness on the kept slots
+    data = edges.pattern.data
+    assert np.array_equal(data[edges.upper], -edges.weight)
+    assert np.array_equal(data[edges.lower], -edges.weight)
+    assert data[edges.diag_slots].tobytes() == ws.pattern.data[ws.diag_slots].tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: build_box_mesh(8, (-0.5,) * 3, (0.5,) * 3),
+                                  jittered_box, oracles.five_tet_cube],
+                         ids=["kuhn8", "jittered", "cube5"])
+def test_eafe_slot_writes_match_the_slot_bincount_bit_for_bit(make):
+    mesh = make()
+    edges, rng = assembly._edge_table(assembly._workspace(mesh)), np.random.default_rng(7)
+    for scale in (1e-4, 1.0, 40.0):     # the series, mid range and far tail of B
+        phi = scale * rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        for drift in ((0.7, -0.7), (0.7, -1.9), (1.0, 1.0)):
+            old = oracles.slot_sum_transport(edges, phi, drift)
+            for ours, expect in zip(edges.transport(phi, drift), old, strict=True):
+                assert ours.tobytes() == expect.tobytes()
 
 
 def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
@@ -780,11 +832,15 @@ def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
 
 
 def test_row_corner_gather_matches_the_row_product_bit_for_bit():
-    # supg gathers vol_K d at the 12 row corners from the (4, M) corner product; the (12, 6)
-    # product it replaced gave the same bits, on which byte-identical histories rest
+    # fem and supg gather vol_K d at the 12 row corners from the (4, M) corner product; the
+    # (12, 6) product they replaced gave the same bits, on which byte-identical histories rest
     w = np.random.default_rng(9).standard_normal((6, 5000)) * np.logspace(-6, 6, 5000)
-    at_corners = assembly._INCIDENCE.T @ w
-    assert np.array_equal(at_corners[assembly._EDGE_ENDS[0]], assembly._AT_ROWS @ w)
+    rows, at = assembly._EDGE_ENDS[0], assembly._INCIDENCE.T
+    at_rows = at[rows]                                  # (12, 6): the row of D^T at each corner
+    assert (at @ w)[rows].tobytes() == (at_rows @ w).tobytes()
+    for scale in (0.25 * 0.01, 0.25 / 1024):            # fem's 0.25 tau, in the (4, 6) factor
+        fem = np.take((scale * at) @ w, rows, axis=0)
+        assert fem.tobytes() == ((scale * at_rows) @ w).tobytes()
 
 
 def _memory_owner(a):
@@ -817,10 +873,10 @@ def test_large_mesh_arrays_stay_off_the_malloc_heap():
     geo = mesh.geometry
     mapped = (geo.omega, ws.edge_slots)
     assert all(isinstance(_memory_owner(a), mmap.mmap) for a in mapped)
-    assert ws.edge_slots.dtype == np.int32 and ws.pattern.data is ws.stiffness_data
+    assert ws.edge_slots.dtype == np.int32
     kept = (mesh.nodes, mesh.tets, mesh.boundary, geo.volumes, geo.diameters, *ws.ends,
             ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.weight,
-            ws.stiffness_data, ws.lumped)
+            ws.pattern.data, ws.lumped)
     assert all(_memory_owner(a) is None for a in kept)
     assert on_heap < sum(a.nbytes for a in kept) + (1 << 20)
     volumes, _, omega, diam = oracles.element_major_geometry(mesh)
@@ -872,9 +928,10 @@ def test_sweep_buffers_change_no_bit_and_keep_the_large_arrays(scheme):
 
 
 def test_grid_solver_found_on_kuhn_boxes_after_edge_setup():
-    # the diagonal's drift stays far inside the stencil check's 1e-12
+    # the lattice that build_box_mesh records selects the solver; row (1, 1, 1) its coupling h
     for n in (4, 8, 16, 32):
-        assert assembly.potential_system(build_box_mesh(n, (-0.5,) * 3, (0.5,) * 3))[1] is not None
+        grid = assembly.potential_system(build_box_mesh(n, (-0.5,) * 3, (0.5,) * 3))[1]
+        assert grid is not None and np.allclose(grid.coupling, 1.0 / n, rtol=1e-13, atol=0.0)
 
 
 def test_workspace_rejects_a_node_in_no_element():
