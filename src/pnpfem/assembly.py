@@ -42,6 +42,7 @@ __all__ = [
     "SchemeConfig",
     "AssembledNP",
     "assemble_stiffness",
+    "lumped_mass",
     "lumped_volumes",
     "potential_system",
     "concentration_preconditioner",
@@ -103,11 +104,12 @@ class _Workspace:
     """
 
     __slots__ = ("pattern", "edge_slots", "diag_slots", "fixed_slots", "ends", "weight", "upper",
-                 "lower", "lumped", "_edges", "_potential")
+                 "lower", "mass", "_edges", "_potential")
 
     def __init__(self, mesh: BoxMesh):
         geo, tets, n = mesh.geometry, mesh.tets, mesh.n_nodes
-        self.lumped = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n)
+        self.mass = np.bincount(tets.ravel(), weights=np.repeat(geo.volumes, 4), minlength=n) / 4
+        self.mass.flags.writeable = False   # the lumped mass: support volumes / 4
         corners = np.ascontiguousarray(tets.T)                                     # (4, M)
         inverse = np.empty((len(tets), 6), np.int64)   # (M, 6) as omega: edge keys, then edges
         for e, (nu, mu) in enumerate(LOCAL_EDGES):
@@ -244,6 +246,13 @@ class _GridSolver:
             u = (sy @ (sx @ u.reshape(len(sx), -1)).reshape(self.shape)) @ sz / scale
         return u.ravel()
 
+    def apply(self, r: np.ndarray, eig=None) -> np.ndarray:
+        """r with its free rows replaced by ``solve(r, eig)``: the preconditioner of the
+        potential's CG and, with shifted eigenvalues, of ``concentration_preconditioner``."""
+        u = r.copy()
+        u[self.free] = self.solve(r, eig)
+        return u
+
 
 def _workspace(mesh: BoxMesh) -> _Workspace:
     if mesh._workspace is None:
@@ -262,7 +271,7 @@ def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
 
     Node k is lattice point unravel_index(k, (m, m, m)), m = ``mesh._lattice``, and ``boundary``
     its shell; a_d is minus the entry of row (1, 1, 1) at column offset m^2, m or 1, one step
-    along x, y, z.  No other entry is read: CG verifies the true residual of every solve.
+    along x, y, z.  No other entry is read: the Krylov solves it preconditions verify residuals.
     """
     if (m := mesh._lattice) is None or m < 3:   # unset on meshes not built by build_box_mesh
         return None
@@ -273,11 +282,11 @@ def _grid_solver(mesh: BoxMesh, a: SparseMatrix) -> _GridSolver | None:
 
 
 def potential_system(mesh: BoxMesh) -> tuple[SparseMatrix, _GridSolver | None]:
-    """The potential operator of ``mesh`` and its exact solver, built once.
+    """The potential operator of ``mesh`` and its preconditioner, built once.
 
     Returns the stiffness on the pattern of ``_EdgeTable`` with identity rows on
     ``mesh.boundary`` and, on a ``build_box_mesh`` lattice, the DST-I solver of its
-    interior block (None elsewhere).
+    interior block (None elsewhere, where CG takes Jacobi).
     Built once per mesh, with read-only arrays; every potential solve uses it.
     """
     ws = _workspace(mesh)
@@ -295,7 +304,7 @@ def concentration_preconditioner(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConf
     """Right preconditioner r -> M^-1 r of both species' systems at ``phi``, or None (Jacobi).
 
     On a grid box M is their zero-drift operator, m I + tau K (m the mean interior lumped
-    mass / 4, K the interior stiffness block; one DST-I solve) on the free rows and I on the
+    mass, K the interior stiffness block; one DST-I solve) on the free rows and I on the
     others, used while the edge Peclet number max|c| max|phi_a - phi_b| over mesh edges (at
     most max|c| times the range of phi) is at most 1, where drift perturbs M little.
     """
@@ -303,13 +312,8 @@ def concentration_preconditioner(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConf
     a, b = ws.ends
     if grid is None or c * np.ptp(phi) > 1 and c * np.abs(phi.take(a) - phi.take(b)).max() > 1:
         return None
-    eig = ws.lumped[grid.free].mean() / 4.0 + tau * grid.eig
-
-    def apply(r):
-        u = r.copy()
-        u[grid.free] = grid.solve(r, eig)
-        return u
-    return apply
+    eig = ws.mass[grid.free].mean() + tau * grid.eig
+    return lambda r: grid.apply(r, eig)
 
 
 def assemble_stiffness(mesh: BoxMesh) -> SparseMatrix:
@@ -328,9 +332,14 @@ def _identity_rows(space, boundary: np.ndarray, datas) -> None:
         data[diag] = 1.0
 
 
+def lumped_mass(mesh: BoxMesh) -> np.ndarray:
+    """The lumped mass, support volumes / 4: one read-only array per mesh."""
+    return _workspace(mesh).mass
+
+
 def lumped_volumes(mesh: BoxMesh) -> np.ndarray:
     """Per-node support volumes: total volume of the tets touching the node."""
-    return _workspace(mesh).lumped.copy()
+    return 4.0 * _workspace(mesh).mass
 
 
 def quadrature_points(mesh: BoxMesh, order: int = 2) -> np.ndarray:
@@ -508,6 +517,6 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
                     np.add(np.multiply(rows, c, out=datas[i]), base, out=datas[i])
                     datas[i] += stream
     for data in datas:
-        data[space.diag_slots] += ws.lumped / 4.0
+        data[space.diag_slots] += ws.mass
     _identity_rows(space, mesh.boundary, datas)
     return [AssembledNP(space.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]

@@ -15,8 +15,8 @@ Every linear solve takes its residual target ``linear_tol * ||b||`` on the
 free rows: the Dirichlet identity rows, which the start already satisfies,
 hold nearly all of ``||b||`` (2,200-3,500 times its free-row norm at h = 1/16,
 tau = 4h^2, fem), and a target on all rows froze the late iterates, so the
-measured contraction moved with ``linear_tol``.  The concentration solves use
-``assembly.concentration_preconditioner`` where it applies, else Jacobi.
+measured contraction moved with ``linear_tol``.  The potential's CG is preconditioned by the
+lattice's DST-I, BiCGSTAB by ``assembly.concentration_preconditioner``; each else by Jacobi.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from . import assembly
 from .assembly import SchemeConfig
-from .linalg import NonConvergenceError, solve_general, solve_spd, spmv
+from .linalg import NonConvergenceError, solve_general, solve_spd
+from .linalg import spmv  # unused; bench/tracing.py wraps it
 from .mesh import BoxMesh
 
 __all__ = [
@@ -131,24 +132,20 @@ def solve_potential(
     """Potential for the frozen concentration pair ``p``.
 
     Solves the mesh's ``assembly.potential_system`` matrix (stiffness on the
-    weighted edges with identity boundary rows) against load + sum_i z_i * mass * p_i,
-    mass the lumped volumes / 4, by CG, which verifies the residual, from ``bc`` on the
-    boundary and inside from the exact DST solve of the interior block on a
-    ``build_box_mesh`` box (0 CG iterations), else from ``guess``.  Every potential
-    solve of a run, sweeps and refreshes alike, goes through here.
+    weighted edges with identity boundary rows) against load + sum_i z_i * mass * p_i
+    (``assembly.lumped_mass``) by CG, which verifies the residual, from ``guess`` with ``bc``
+    on the boundary.  CG's preconditioner is the mesh's: the DST-I solve of the interior
+    block on a ``build_box_mesh`` box, exact there (at most 1 iteration), else Jacobi.
+    Every potential solve of a run, sweeps and refreshes alike, goes through here.
     """
     bmask = mesh.boundary
     matrix, grid = assembly.potential_system(mesh)
-    mass = assembly.lumped_volumes(mesh) / 4.0
-    rhs = load.copy()
-    for z, p_i in zip(cfg.charges, p):
-        rhs += z * (mass * p_i)
-    rhs = _impose(rhs, bmask, bc)
-    x0 = _impose(guess if grid is None else np.zeros(mesh.n_nodes), bmask, bc)
-    if grid is not None:
-        x0[grid.free] = grid.solve(rhs - spmv(matrix, x0))
+    mass = assembly.lumped_mass(mesh)
+    rhs = sum((z * (mass * p_i) for z, p_i in zip(cfg.charges, p)), load)
     with _failure_context("potential solve"):
-        return solve_spd(matrix, rhs, cfg.linear_tol, cfg.linear_maxit, x0=x0, free=~bmask).x
+        return solve_spd(matrix, _impose(rhs, bmask, bc), cfg.linear_tol, cfg.linear_maxit,
+                         x0=_impose(guess, bmask, bc), free=~bmask,
+                         precond=None if grid is None else grid.apply).x
 
 
 def gummel_step(problem: StepProblem, iterate: State) -> State:

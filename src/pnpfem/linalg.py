@@ -4,10 +4,11 @@ Matrices are stored in compressed-row form; products run on a padded row
 (ELLPACK) copy whose width K is the longest row: K full-length vector adds.
 
 The kit deliberately carries its own compressed-row matrix and two classic
-Krylov solvers instead of pulling in a sparse-algebra dependency: CG with a
-Jacobi preconditioner, and BiCGSTAB with the caller's right preconditioner or
-Jacobi.  On grid boxes the Gummel sweep passes it the DST-I inverse of the
-zero-drift concentration operator while the edge Peclet number is at most 1
+Krylov solvers instead of pulling in a sparse-algebra dependency: CG and
+BiCGSTAB, each with the caller's preconditioner ``precond(r)`` or Jacobi.  On
+grid boxes the lattice's DST-I solve (``assembly._GridSolver.apply``) serves both:
+the potential's CG, exact in one iteration, and, for the zero-drift concentration
+operator, BiCGSTAB while the edge Peclet number is at most 1
 (``assembly.concentration_preconditioner``).  The potential system is SPD on
 the free unknowns; on Kuhn meshes eafe's systems are column M-matrices and
 fem's and supg's are not (positive off-diagonals on zero-weight edges).  The
@@ -160,9 +161,11 @@ class SolveResult:
     method: str = "cg"
 
 
-def _jacobi(a: SparseMatrix) -> np.ndarray:
+def _jacobi(a: SparseMatrix):
+    """The default preconditioner of both solvers: r -> r / diag(a), 1 for a zero diagonal."""
     d = a.diagonal()
-    return np.where(np.abs(d) > 0.0, d, 1.0)
+    d = np.where(np.abs(d) > 0.0, d, 1.0)
+    return lambda r: r / d
 
 
 def _lost_to_rounding(x, y, xy: float) -> bool:
@@ -179,37 +182,30 @@ def _start(a, b, tol, x0, free):
     return b, target, np.zeros(a.n) if x0 is None or target == 0.0 else np.array(x0, dtype=float)
 
 
-def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=None) -> SolveResult:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=None,
+              precond=None) -> SolveResult:
+    """Conjugate gradients for SPD systems, preconditioned by ``precond`` or Jacobi.
 
     The residual contract ||b - A x|| <= tol * ||b_free|| is verified on the
     true (recomputed) residual before returning, b_free being b on the rows
     ``free`` masks (all rows if None or b is 0 there).  For matrices whose
     constrained rows were replaced by identity rows, pass an ``x0`` that
     satisfies those rows and the other rows as ``free``: the iteration then
-    acts on the free unknowns only, where the operator is SPD.
+    acts on the free unknowns only, where the operator is SPD.  ``precond(r)``
+    applies M^-1 (M SPD) to a residual that missed the target: one solve per iteration.
     """
     b, target, x = _start(a, b, tol, x0, free)
     r = b - spmv(a, x)
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
         return SolveResult(x, 0, rnorm, "cg")
-    d = _jacobi(a)
-    z = r / d
-    p = z.copy()
-    rz = float(r @ z)
-    it = 0
+    precond = precond or _jacobi(a)
+    it, p = 0, None                    # p is None at a (re)start from the true residual
     while it < maxit:
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= target:  # r is the recursive residual: check the true one
-            r = b - spmv(a, x)
-            rnorm = float(np.linalg.norm(r))
-            if rnorm <= target:
-                return SolveResult(x, it, rnorm, "cg")
-            # recursive residual drifted; restart from the true one
-            z = r / d
-            p = z.copy()
-            rz = float(r @ z)
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = spmv(a, p)
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -221,14 +217,14 @@ def solve_spd(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=None) -
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = r / d
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         it += 1
-    rnorm = float(np.linalg.norm(b - spmv(a, x)))
-    if rnorm <= target:
-        return SolveResult(x, it, rnorm, "cg")
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= target or it == maxit:  # r is the recursive residual: check the true one
+            r = b - spmv(a, x)
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= target:
+                return SolveResult(x, it, rnorm, "cg")
+            p = None  # recursive residual drifted; restart from the true one
     raise NonConvergenceError(
         f"cg: no convergence in {maxit} iterations (residual {rnorm:g}, target {target:g})",
         residual=rnorm,
@@ -250,9 +246,7 @@ def solve_general(a, b, tol: float = 1e-10, maxit: int = 5000, x0=None, free=Non
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
         return SolveResult(x, 0, rnorm, "bicgstab")
-    if precond is None:
-        d = _jacobi(a)
-        precond = lambda r: r / d
+    precond = precond or _jacobi(a)
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(a.n)

@@ -162,7 +162,7 @@ def run_transient(mesh, scheme_cfg, transient_cfg) -> TransientResult:
     """
     cfg = scheme_cfg
     tc = transient_cfg
-    mass = assembly.lumped_volumes(mesh) / 4.0
+    mass = assembly.lumped_mass(mesh)
     coefficients, fields = tc.sources
     field_loads, field_ints = assembly.integrate_fields(mesh, fields, cfg.scheme == "supg")
     boundary_at = tc.boundary(mesh.nodes[mesh.boundary])
@@ -232,7 +232,7 @@ def _diagnose(
         float(old_state.p1[interior].min()), float(old_state.p2[interior].min())
     )
     c_j, _, tau_star = bound_constants(
-        f_int, assembly.lumped_volumes(mesh)[interior], g_int, max(floor, 1e-12)
+        f_int, 4.0 * assembly.lumped_mass(mesh)[interior], g_int, max(floor, 1e-12)
     )
     verdicts = [column_mmatrix_check(system.matrix, keep=interior).verdict
                 for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n, buffers)]

@@ -354,7 +354,7 @@ def gradient_form_np(mesh, phi, cfg, tau):
             stab_w[i] = (-c * c_k * d).T
             datas.append(base + c * rows + ws.from_edges(stream))
     for data in datas:
-        data[ws.diag_slots] += ws.lumped / 4.0
+        data[ws.diag_slots] += ws.mass
     assembly._identity_rows(ws, mesh.boundary, datas)
     return [AssembledNP(ws.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]
 

@@ -876,7 +876,7 @@ def test_large_mesh_arrays_stay_off_the_malloc_heap():
     assert ws.edge_slots.dtype == np.int32
     kept = (mesh.nodes, mesh.tets, mesh.boundary, geo.volumes, geo.diameters, *ws.ends,
             ws.diag_slots.base, ws.pattern.indptr, ws.pattern.indices, ws.weight,
-            ws.pattern.data, ws.lumped)
+            ws.pattern.data, ws.mass)
     assert all(_memory_owner(a) is None for a in kept)
     assert on_heap < sum(a.nbytes for a in kept) + (1 << 20)
     volumes, _, omega, diam = oracles.element_major_geometry(mesh)

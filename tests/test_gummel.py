@@ -205,7 +205,7 @@ def test_maxit_exhaustion_is_reported_not_raised():
 
 def test_linear_solver_failure_carries_sweep_index():
     # enough interior unknowns that one CG iteration cannot converge; the
-    # jittered mesh is no tensor grid, so CG starts from the warm start
+    # jittered mesh has no lattice, so CG is preconditioned by Jacobi, not the exact DST-I
     mesh = jittered_box(4)
     assert assembly.potential_system(mesh)[1] is None
     tc = transient_problem(T=0.01, tau=0.01)
@@ -242,17 +242,21 @@ def record_potential_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("n, hi", [(5, (0.5,) * 3), (4, (1.0, 2.0, 3.0))])
-def test_potential_solve_on_a_grid_needs_no_cg_iteration(monkeypatch, n, hi):
+def test_potential_solve_on_a_grid_takes_one_cg_iteration(monkeypatch, n, hi):
+    # the lattice's DST-I inverts the interior block: CG is exact in one step, and a
+    # guess that already meets the target costs none
     mesh = build_box_mesh(n, (-0.5,) * 3, hi)
     scfg = scheme_config("fem", linear_tol=1e-13)
     matrix, load, bc, p, rhs = potential_data(mesh)
     results = record_potential_solves(monkeypatch)
     phi = solve_potential(mesh, scfg, load, bc, p, np.zeros(mesh.n_nodes))
-    assert [r.iterations for r in results] == [0]
+    assert np.array_equal(solve_potential(mesh, scfg, load, bc, p, phi), phi)
+    assert [r.iterations for r in results] == [1, 0]
     assert np.linalg.norm(spmv(matrix, phi) - rhs) <= scfg.linear_tol * np.linalg.norm(rhs)
 
 
 def test_potential_solve_verifies_a_wrong_grid_guess(monkeypatch):
+    # a wrong eigenvalue makes the DST-I preconditioner inexact: CG iterates on to the target
     mesh = build_box_mesh(5, *BOX)
     scfg = scheme_config("fem")
     grid = assembly.potential_system(mesh)[1]

@@ -434,6 +434,28 @@ def test_zero_free_rows_take_the_target_on_all_rows(solve):
     assert np.array_equal(zero.x, np.zeros(4))
 
 
+@pytest.mark.parametrize("solve", [solve_spd, solve_general], ids=["cg", "bicgstab"])
+def test_krylov_solvers_share_one_preconditioner_contract(monkeypatch, solve):
+    # precond(r) applies M^-1 in both solvers: the lattice's DST-I inverts the potential
+    # system's interior block, so one iteration meets the free-row target
+    mesh = build_box_mesh(5, (-0.5,) * 3, (0.5,) * 3)
+    matrix, grid = potential_system(mesh)
+    free = ~mesh.boundary
+    b = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.n_nodes)
+    x0 = np.where(free, 0.0, b)
+    dst = solve(matrix, b, 1e-12, x0=x0, free=free, precond=grid.apply)
+    assert dst.iterations == 1
+    assert np.linalg.norm(b - spmv(matrix, dst.x)) <= 1e-12 * np.linalg.norm(b[free])
+    # None is the one Jacobi default, r / diag(A): the same iterates as passing it
+    built, jacobi = [], linalg._jacobi
+    monkeypatch.setattr(linalg, "_jacobi", lambda a: built.append(a) or jacobi(a))
+    default = solve(matrix, b, 1e-12, x0=x0, free=free)
+    d = matrix.diagonal()
+    explicit = solve(matrix, b, 1e-12, x0=x0, free=free, precond=lambda r: r / d)
+    assert built == [matrix] and default.iterations == explicit.iterations > 1
+    assert np.array_equal(default.x, explicit.x)
+
+
 def test_solve_general_applies_the_callers_preconditioner():
     rng = np.random.default_rng(4)
     dense = rng.uniform(-1.0, 1.0, (12, 12)) + 6.0 * np.eye(12)
