@@ -6,7 +6,7 @@ slots, 9 MiB, have their own mapping); the potential operator and eafe on it pru
 zero-weight edges (``_EdgeTable``, built on first use).  Every operator is a sum of edge
 values, each diagonal entry minus the rest of its column: the stiffness -sum omega_e per
 mesh edge, the concentration operators their transport.  Every system solved has identity
-rows on ``mesh.boundary``, all written by ``_identity_rows`` from the diagonal slots.
+rows on ``mesh.boundary``, written by ``_identity_rows`` from the diagonal slots (eafe's once).
 Polynomial integrands are integrated in closed form; other fields from values
 sampled at ``quadrature_points``, by the caller or, per block, ``integrate_fields``.
 
@@ -21,7 +21,7 @@ operator.  One call assembles both species at one potential: they differ only
 through their drift c, so d_i = grad(phi_h).grad(psi_i), the supg parameter
 and the Bernoulli values are computed once (the last two once per distinct
 |c|).  fem and supg sum element-edge values, vol_K d_i = sum_j omega_ij
-(phi_i - phi_j) from the mesh's edge weights; eafe sums mesh-edge values.
+(phi_i - phi_j) from the mesh's edge weights; eafe sums mesh-edge values, in one pass.
 supg also changes the right-hand side, by the one per-element load of
 ``stab_source_vector``.  With a zero potential all three collapse to
 mass + tau * A_L, which is the normative check pinning all sign and index
@@ -179,10 +179,11 @@ class _EdgeTable:
     over its tets, is minus its stiffness entry.  Edges of weight exactly zero couple
     nothing and are pruned; negative ones stay.  Edges, weights, slots and the pattern's
     data, the stiffness, are the workspace's without them.  The potential operator and
-    eafe share the pattern, its padded-row layout and ``fixed_slots``.
+    eafe share the pattern and its padded-row layout; ``systems`` is eafe's assembly.
     """
 
-    __slots__ = ("pattern", "a", "b", "weight", "upper", "lower", "diag_slots", "fixed_slots")
+    __slots__ = ("pattern", "ends", "a", "b", "weight", "upper", "lower", "diag_slots",
+                 "fixed_slots", "_writes")
 
     def __init__(self, ws: _Workspace):
         full, kept = ws.pattern, ws.weight != 0.0
@@ -192,31 +193,37 @@ class _EdgeTable:
         kept_before = np.concatenate(([0], np.cumsum(keep)))   # = new slot of a kept entry
         self.pattern = SparseMatrix(full.n, kept_before[full.indptr], full.indices[keep],
                                     full.data[keep], _checked=True)
-        (self.a, self.b), self.weight = (e[kept] for e in ws.ends), ws.weight[kept]
+        self.ends = np.concatenate([e[kept] for e in ws.ends])   # a then b, in one array
+        (self.a, self.b), self.weight = np.split(self.ends, 2), ws.weight[kept]
         self.upper, self.lower = kept_before[upper], kept_before[lower]
-        self.diag_slots, self.fixed_slots = kept_before[ws.diag_slots], None
+        self.diag_slots, self.fixed_slots, self._writes = kept_before[ws.diag_slots], None, None
 
-    def transport(self, phi: np.ndarray, drift) -> list[np.ndarray]:
-        """Per c in ``drift``, entry (a, b) is -weight * B(c (phi_a - phi_b)).
+    def systems(self, phi: np.ndarray, drift, tau: float, mass, boundary, keep) -> list:
+        """eafe's data per c in ``drift``, mass + tau * transport, identity rows on ``boundary``.
 
-        Entries go straight into their slots; one bincount over (a, b) puts minus them on the
-        diagonal, so columns sum to 0 as in ``_Workspace.from_edges``.  B(-|t|) = B(|t|) + |t|
-        saves the second Bernoulli evaluation and, unlike B(t) - t, does not
-        cancel: at t = -30 that would keep about 3 digits.  Both depend on c only
-        through |c|, so ``bernoulli`` runs once per distinct |c|; for c_2 = -c_1
-        the forward and backward weights swap.
+        Entry (a, b) is -weight * B(t), t = c (phi_a - phi_b), and (b, a) -weight * B(-t); one
+        bincount over ``ends`` puts minus the entries on the diagonal, so columns sum to 0.
+        B(-|t|) = B(|t|) + |t| saves the second Bernoulli evaluation and, unlike B(t) - t, does
+        not cancel: at t = -30 that would keep about 3 digits.  So for c >= 0, B(-t) = B(|t|) + s
+        and B(t) = B(|t|) + (|t| - s), s = |t| where t >= 0 and 0 elsewhere, once per distinct
+        |c|; c < 0 takes the pair swapped, exact as at t = 0 both are B(0).  Species i goes into
+        ``keep(("eafe", i), nnz)``, zeros when new: a boundary row's off-diagonal writes land on
+        its diagonal slot, written last, with 1.
         """
-        dphi, ends, out = phi[self.a] - phi[self.b], np.concatenate((self.a, self.b)), []
-        t_abs = {m: m * np.abs(dphi) for m in {abs(c) for c in drift}}
-        b_pos = {m: bernoulli(t) for m, t in t_abs.items()}
-        for c in drift:
-            b_neg, ahead = b_pos[abs(c)] + t_abs[abs(c)], c * dphi >= 0.0
-            w_fwd = self.weight * np.where(ahead, b_pos[abs(c)], b_neg)   # weight * B(t)
-            w_bwd = self.weight * np.where(ahead, b_neg, b_pos[abs(c)])   # weight * B(-t)
-            data = np.zeros(self.pattern.nnz)
-            data[self.upper], data[self.lower] = -w_fwd, -w_bwd
-            data[self.diag_slots] = np.bincount(ends, np.concatenate((w_bwd, w_fwd)), len(phi))
-            out.append(data)
+        if self._writes is None:   # the slots of the (b, a), (a, b) entries
+            rows = np.concatenate((self.b, self.a))
+            self._writes = np.where(boundary[rows], self.diag_slots[rows],
+                                    np.concatenate((self.lower, self.upper)))
+        slots, dphi, pairs, out = self._writes, phi.take(self.a) - phi.take(self.b), {}, []
+        for m in {abs(c) for c in drift}:
+            t = m * np.abs(dphi)
+            b_pos, s = bernoulli(t), t * (dphi >= 0.0)
+            pairs[m] = (self.weight * (b_pos + s), self.weight * (b_pos + (t - s)))   # bwd, fwd
+        for i, c in enumerate(drift):
+            w = np.concatenate(pairs[abs(c)][::1 if c >= 0 else -1])   # backward, forward
+            diag = np.where(boundary, 1.0, np.bincount(self.ends, w, len(phi)) * tau + mass)
+            out.append(keep(("eafe", i), self.pattern.nnz))
+            out[i][slots], out[i][self.diag_slots] = np.multiply(w, -tau, out=w), diag
         return out
 
 
@@ -460,35 +467,36 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
     w_K.grad(psi_i) = -c c_K d_i for ``stab_source_vector``.  eafe is the
     edge-averaged operator on the weighted-edge pattern of ``_EdgeTable``.  The
     mass stays lumped: positive off-diagonal entries of a consistent mass would
-    break the eafe column M-matrix property.  With ``buffers``, a dict a run keeps, supg
-    writes its (k, M) and nnz-sized arrays, the returned ones too, into arrays mapped there
-    on first use, which the next call overwrites: its sweeps then take no fresh pages.
+    break the eafe column M-matrix property.  With ``buffers``, a dict a run keeps, eafe and
+    supg write their nnz-sized arrays (the returned ones too) and supg its (k, M) ones into
+    arrays mapped there on first use, which the next call overwrites: no fresh pages.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mesh.n_nodes,):
         raise ValueError(f"phi must have one entry per node ({mesh.n_nodes}), got {phi.shape}")
     if not tau > 0:
         raise ValueError("tau must be positive")
+    def keep(name, shape):   # buffers[name], zeros mapped on first use; without buffers, new
+        if buffers is None:
+            return np.zeros(shape)
+        if name not in buffers:
+            buffers[name] = _mapped_zeros(shape, least=0)
+        return buffers[name]
+
     ws = _workspace(mesh)
-    stab_w = [None, None]
     if cfg.scheme == "eafe":
-        space = _edge_table(ws)
-        datas = [tau * t for t in space.transport(phi, cfg.drift)]
-    elif cfg.scheme == "fem":
-        space, geo = ws, mesh.geometry
+        edges = _edge_table(ws)
+        return [AssembledNP(edges.pattern.with_data(data))
+                for data in edges.systems(phi, cfg.drift, tau, ws.mass, mesh.boundary, keep)]
+    stab_w = [None, None]
+    if cfg.scheme == "fem":
+        geo = mesh.geometry
         dphi = _INCIDENCE @ phi[mesh.tets.T]                     # (6, M): phi_nu - phi_mu
         dphi *= geo.omega.T                    # w = omega dphi, in place: one (6, M) array fewer
         conv = ws.from_edges(np.take((0.25 * tau * _INCIDENCE.T) @ dphi, _EDGE_ENDS[0], axis=0))
         datas = [tau * ws.pattern.data + c * conv for c in cfg.drift]
     else:
-        def keep(name, shape):   # buffers[name], mapped on first use; without buffers, new
-            if buffers is None:
-                return np.empty(shape)
-            if name not in buffers:
-                buffers[name] = _mapped_zeros(shape, least=0)
-            return buffers[name]
-
-        space, geo, six, nnz = ws, mesh.geometry, (6, mesh.n_tets), ws.pattern.nnz
+        geo, six, nnz = mesh.geometry, (6, mesh.n_tets), ws.pattern.nnz
         dphi = np.matmul(_INCIDENCE, phi[mesh.tets.T], out=keep("dphi", six))
         w = np.multiply(geo.omega.T, dphi, out=keep("w", six))           # vol_K d = D^T w
         speed = np.sqrt(np.maximum(np.einsum("em,em->m", w, dphi), 0.0) / geo.volumes)
@@ -517,6 +525,6 @@ def assemble_np(mesh: BoxMesh, phi: np.ndarray, cfg: SchemeConfig,
                     np.add(np.multiply(rows, c, out=datas[i]), base, out=datas[i])
                     datas[i] += stream
     for data in datas:
-        data[space.diag_slots] += ws.mass
-    _identity_rows(space, mesh.boundary, datas)
-    return [AssembledNP(space.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]
+        data[ws.diag_slots] += ws.mass
+    _identity_rows(ws, mesh.boundary, datas)
+    return [AssembledNP(ws.pattern.with_data(data), w) for data, w in zip(datas, stab_w)]

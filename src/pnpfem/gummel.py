@@ -155,10 +155,12 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     concentration solves see the potential just computed and start from the
     iterate with boundary rows corrected.  A failed solve is re-raised with
     its name: "potential solve", "species 1 solve" or "species 2 solve".
+    With ``problem.buffers`` it drops ``buffers["systems"]`` first, then leaves (phi, systems).
     """
     mesh = problem.mesh
     cfg = problem.cfg
     bmask = mesh.boundary
+    (problem.buffers or {}).pop("systems", None)
 
     prev_p = (iterate.p1, iterate.p2)
     phi_new = solve_potential(mesh, cfg, problem.g_phi, problem.bc[0], prev_p, iterate.phi)
@@ -166,6 +168,8 @@ def gummel_step(problem: StepProblem, iterate: State) -> State:
     p_new = []
     precond = assembly.concentration_preconditioner(mesh, phi_new, cfg, problem.tau)
     systems = assembly.assemble_np(mesh, phi_new, cfg, problem.tau, problem.buffers)
+    if problem.buffers is not None:
+        problem.buffers["systems"] = (phi_new, systems)
     for i, system in enumerate(systems):
         rhs_i = problem.f_np[i]
         if system.stab_grad_weights is not None:

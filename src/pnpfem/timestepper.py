@@ -16,10 +16,9 @@ tolerance, and the step's operators are audited: concentration bounds, the
 rhs-positivity constants, the critical step size below which the right-hand
 side stays positive, and the column M-matrix verdict of the concentration
 matrices (all on interior unknowns, where the homogeneous Dirichlet theory
-lives).  The verdict is taken on matrices re-assembled at the refreshed,
-accepted potential, not on those of the last sweep, so that it describes
-the operator of the recorded state; this costs one assembly of both
-species' systems per step.
+lives).  The verdict is taken on the systems at the refreshed, accepted potential,
+so that it describes the operator of the recorded state: the last sweep's where
+the refresh left the potential bit for bit unchanged, else re-assembled.
 ``write_csv`` is the one CSV writer, of the history and of the CLI studies.
 """
 
@@ -234,8 +233,11 @@ def _diagnose(
     c_j, _, tau_star = bound_constants(
         f_int, 4.0 * assembly.lumped_mass(mesh)[interior], g_int, max(floor, 1e-12)
     )
-    verdicts = [column_mmatrix_check(system.matrix, keep=interior).verdict
-                for system in assembly.assemble_np(mesh, new_state.phi, cfg, tau_n, buffers)]
+    phi, systems = buffers.pop("systems", (None, None))   # the last sweep's, if it left them
+    if not np.array_equal(phi, new_state.phi):
+        del systems   # dropped before the next are assembled
+        systems = assembly.assemble_np(mesh, new_state.phi, cfg, tau_n, buffers)
+    verdicts = [column_mmatrix_check(system.matrix, keep=interior).verdict for system in systems]
     return DiagnosticsRecord(
         step=step,
         t=t_next,

@@ -17,9 +17,11 @@ package's ``bernoulli``) as a reference for the per-edge assembly.
 ``transpose_edge_table`` keep the package's former per-mesh set-up (einsum
 and cross-product geometry, a pattern from 16 keys per element with the
 stiffness scattered from (M, 4, 4) element matrices, and eafe's pruning by a
-transpose map) as references for the set-up built from mesh edges, and
+transpose map) as references for the set-up built from mesh edges,
 ``slot_sum_transport`` eafe's former transport, one bincount over 4E slots, as the
-reference for the values written straight into their slots.
+reference for the values written straight into their slots, and ``edge_transport``
+the former per-species slot writes, which ``eafe_systems`` scales by tau and completes
+with the mass and identity rows, as the reference for the one-pass eafe kernel.
 ``dirichlet_rows`` is the reference for the identity boundary rows of every
 operator, and ``unconstrained`` the mesh whose operators have none.
 ``jittered_box`` builds the unstructured mesh that structure-exploiting
@@ -320,6 +322,38 @@ def slot_sum_transport(edges, phi, drift):
         vals = np.concatenate((-w_fwd, -w_bwd, w_bwd, w_fwd))
         out.append(np.bincount(slots, weights=vals, minlength=edges.pattern.nnz))
     return out
+
+
+def edge_transport(edges, phi, drift):
+    """eafe's transport data per c in ``drift``, species by species, as the package formerly
+    wrote it into the ``_EdgeTable`` slots: entry (a, b) -weight * B(c (phi_a - phi_b)), the
+    diagonal from one bincount over (a, b), B(-|t|) = B(|t|) + |t|."""
+    dphi, ends, out = phi[edges.a] - phi[edges.b], np.concatenate((edges.a, edges.b)), []
+    for c in drift:
+        t = abs(c) * np.abs(dphi)
+        b_pos, ahead = bernoulli(t), c * dphi >= 0.0
+        b_neg = b_pos + t
+        w_fwd = edges.weight * np.where(ahead, b_pos, b_neg)
+        w_bwd = edges.weight * np.where(ahead, b_neg, b_pos)
+        data = np.zeros(edges.pattern.nnz)
+        data[edges.upper], data[edges.lower] = -w_fwd, -w_bwd
+        data[edges.diag_slots] = np.bincount(ends, np.concatenate((w_bwd, w_fwd)), len(phi))
+        out.append(data)
+    return out
+
+
+def eafe_systems(mesh, phi, drift, tau):
+    """eafe's data per c in ``drift`` as ``assemble_np`` formerly completed ``edge_transport``:
+    tau times it, the package's lumped mass added on the diagonal, then identity rows on the
+    boundary."""
+    edges = assembly._edge_table(assembly._workspace(mesh))
+    fixed = mesh.boundary[edges.pattern.rows()]
+    datas = [tau * t for t in edge_transport(edges, phi, drift)]
+    for data in datas:
+        data[edges.diag_slots] += assembly.lumped_mass(mesh)
+        data[fixed] = 0.0
+        data[edges.diag_slots[mesh.boundary]] = 1.0
+    return datas
 
 
 def gradient_form_np(mesh, phi, cfg, tau):

@@ -807,14 +807,25 @@ def test_eafe_edge_table_matches_transpose_oracle(make):
                                   jittered_box, oracles.five_tet_cube],
                          ids=["kuhn8", "jittered", "cube5"])
 def test_eafe_slot_writes_match_the_slot_bincount_bit_for_bit(make):
+    # the kernel's systems are the former per-species transport, scaled by tau, plus the mass,
+    # with identity rows; c < 0 takes the c > 0 weights swapped, exact also where dphi = 0
     mesh = make()
     edges, rng = assembly._edge_table(assembly._workspace(mesh)), np.random.default_rng(7)
     for scale in (1e-4, 1.0, 40.0):     # the series, mid range and far tail of B
-        phi = scale * rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        for drift in ((0.7, -0.7), (0.7, -1.9), (1.0, 1.0)):
-            old = oracles.slot_sum_transport(edges, phi, drift)
-            for ours, expect in zip(edges.transport(phi, drift), old, strict=True):
-                assert ours.tobytes() == expect.tobytes()
+        uniform = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        levels = rng.integers(0, 3, mesh.n_nodes).astype(float)   # many equal neighbours
+        for phi in (scale * uniform, scale * levels):
+            for drift in ((0.7, -0.7), (0.7, -1.9), (1.0, 1.0), (0.7, 0.0)):
+                old = oracles.slot_sum_transport(edges, phi, drift)
+                for ours, expect in zip(oracles.edge_transport(edges, phi, drift), old,
+                                        strict=True):
+                    assert ours.tobytes() == expect.tobytes()
+                for tau in (0.02, 1 / 1024):
+                    systems = assemble_np(mesh, phi, SchemeConfig(scheme="eafe", drift=drift), tau)
+                    for ours, expect in zip(systems, oracles.eafe_systems(mesh, phi, drift, tau),
+                                            strict=True):
+                        assert ours.matrix.data.tobytes() == expect.tobytes()
+    assert not (levels[edges.a] - levels[edges.b]).all()   # some edges have dphi = 0
 
 
 def test_symmetric_edge_values_are_summed_once_per_mesh_edge():
@@ -901,18 +912,24 @@ def test_workspace_setup_heap_peak_is_bounded():
 
 @pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
 def test_sweep_buffers_change_no_bit_and_keep_the_large_arrays(scheme):
-    # a run passes one dict to every sweep: supg writes its (k, M) and nnz-sized arrays, the
-    # returned ones too, into its arrays, each its own mapping off the heap; fem and eafe do not
+    # a run passes one dict to every sweep: supg and eafe write their nnz-sized arrays, the
+    # returned ones too, and supg its (k, M) ones, into arrays mapped there, each its own
+    # mapping off the heap; fem does not.  Calls at changing phi and tau give the bits of
+    # fresh arrays, and eafe's boundary rows, zero but for the diagonal, stay identity rows
     mesh, rng, buffers = build_box_mesh(8), np.random.default_rng(8), {}
     for drift in ((0.7, -0.7), (0.7, -1.9), (1.9, 1.9)):
         cfg = SchemeConfig(scheme=scheme, drift=drift)
-        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        for fresh, kept in zip(assemble_np(mesh, phi, cfg, 0.01),
-                               assemble_np(mesh, phi, cfg, 0.01, buffers)):
-            assert np.array_equal(fresh.matrix.data, kept.matrix.data)
-            if scheme == "supg":
-                assert np.array_equal(fresh.stab_grad_weights, kept.stab_grad_weights)
-    assert (scheme == "supg") == bool(buffers)
+        for tau in (0.01, 0.003):
+            phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+            for fresh, kept in zip(assemble_np(mesh, phi, cfg, tau),
+                                   assemble_np(mesh, phi, cfg, tau, buffers), strict=True):
+                assert fresh.matrix.data.tobytes() == kept.matrix.data.tobytes()
+                if scheme == "supg":
+                    assert fresh.stab_grad_weights.tobytes() == kept.stab_grad_weights.tobytes()
+                a = kept.matrix
+                fixed, diag = mesh.boundary[a.rows()], a.rows() == a.indices
+                assert (a.data[fixed & diag] == 1.0).all() and not a.data[fixed & ~diag].any()
+    assert (scheme != "fem") == bool(buffers)
     assert all(isinstance(_memory_owner(a), mmap.mmap) for a in buffers.values())
     held = dict(buffers)
     tracemalloc.start()
@@ -925,6 +942,9 @@ def test_sweep_buffers_change_no_bit_and_keep_the_large_arrays(scheme):
     if scheme == "supg":   # left on the heap: phi at the corners and (M,) arrays
         assert peak < 1.5 * (6 * mesh.n_tets * 8)
         assert all(s.matrix.data is buffers[i] for i, s in enumerate(systems))
+    if scheme == "eafe":   # left on the heap: per-edge temporaries, 10.5 E doubles, no nnz copy
+        assert peak < 12 * (len(assembly._edge_table(assembly._workspace(mesh)).a) * 8)
+        assert all(s.matrix.data is buffers["eafe", i] for i, s in enumerate(systems))
 
 
 def test_grid_solver_found_on_kuhn_boxes_after_edge_setup():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,29 @@ def test_f_vector_bookkeeping():
     assert np.abs(f - m * p - tau * g).max() < 1e-16
 
 
+def _record_potentials(monkeypatch):
+    """Record each sweep's potential and, per diagnosed step, (refreshed potential, tau)."""
+    swept, diagnosed = [], []
+    step, diagnose = gummel.gummel_step, timestepper._diagnose
+
+    def sweep(problem, iterate):
+        new = step(problem, iterate)
+        swept.append(new.phi)
+        return new
+
+    def diagnosing(mesh, cfg, k, t_next, tau_n, old_state, new_state, *rest):
+        diagnosed.append((swept[-1], new_state.phi, tau_n))
+        return diagnose(mesh, cfg, k, t_next, tau_n, old_state, new_state, *rest)
+
+    monkeypatch.setattr(gummel, "gummel_step", sweep)
+    monkeypatch.setattr(timestepper, "_diagnose", diagnosing)
+    return swept, diagnosed
+
+
 @pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
-def test_one_assembly_per_sweep_and_per_step(monkeypatch, scheme):
-    # both species come from one call: one per sweep, one per step's diagnostics
+def test_one_assembly_per_distinct_potential(monkeypatch, scheme):
+    # both species come from one call: one per sweep, and one per step whose refreshed
+    # potential is not bit for bit the last sweep's, whose systems the diagnostics check
     calls = []
     original = assembly.assemble_np
 
@@ -147,10 +169,57 @@ def test_one_assembly_per_sweep_and_per_step(monkeypatch, scheme):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "assemble_np", counting)
-    mesh = build_box_mesh(2, *BOX)
-    result = run_transient(mesh, scheme_config(scheme), transient_problem(T=0.02, tau=0.01))
-    assert len(result.reports) == len(result.diagnostics) == 2
-    assert len(calls) == sum(r.iterations for r in result.reports) + len(result.reports)
+    swept, diagnosed = _record_potentials(monkeypatch)
+    mesh = build_box_mesh(8, *BOX)
+    result = run_transient(mesh, scheme_config(scheme), transient_problem(T=0.05, tau=0.01))
+    assert len(result.reports) == len(result.diagnostics) == len(diagnosed) == 5
+    moved = [not np.array_equal(last, phi) for last, phi, _ in diagnosed]
+    assert 0 < sum(moved) < len(moved)                   # the run takes both branches
+    assert len(swept) == sum(r.iterations for r in result.reports)
+    assert len(calls) == len(swept) + sum(moved)
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_every_verdict_is_taken_on_the_systems_at_the_recorded_potential(monkeypatch, scheme):
+    # reused or re-assembled, the checked data are those of a fresh assembly at the step's
+    # refreshed potential, bit for bit
+    checked = []
+    check = timestepper.column_mmatrix_check
+
+    def recording(a, *args, **kwargs):
+        checked.append(a.data.copy())
+        return check(a, *args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "column_mmatrix_check", recording)
+    _, diagnosed = _record_potentials(monkeypatch)
+    mesh, cfg = build_box_mesh(8, *BOX), scheme_config(scheme)
+    run_transient(mesh, cfg, transient_problem(T=0.05, tau=0.01))
+    moved = [not np.array_equal(last, phi) for last, phi, _ in diagnosed]
+    assert 0 < sum(moved) < len(moved) and len(checked) == 2 * len(diagnosed)
+    for k, (_, phi, tau) in enumerate(diagnosed):
+        fresh = assembly.assemble_np(mesh, phi, cfg, tau)
+        for i, system in enumerate(fresh):
+            assert checked[2 * k + i].tobytes() == system.matrix.data.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["fem", "supg", "eafe"])
+def test_at_most_one_set_of_systems_is_alive(monkeypatch, scheme):
+    # each assembly, in a sweep or the diagnostics, starts after the last set is released
+    made, alive_at_call = [], []
+    original = assembly.assemble_np
+
+    def tracking(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        systems = original(*args, **kwargs)
+        made.extend(weakref.ref(s) for s in systems)
+        return systems
+
+    monkeypatch.setattr(assembly, "assemble_np", tracking)
+    _, diagnosed = _record_potentials(monkeypatch)
+    run_transient(build_box_mesh(8, *BOX), scheme_config(scheme), transient_problem(T=0.05, tau=0.01))
+    moved = [not np.array_equal(last, phi) for last, phi, _ in diagnosed]
+    assert 0 < sum(moved) < len(moved)
+    assert len(alive_at_call) > len(diagnosed) and not any(alive_at_call)
 
 
 def test_single_step_solves_np_system():
